@@ -229,6 +229,7 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 	var pageBuf []pagestore.PageID
 	var missBuf []pagestore.PageID
+	var resultBuf []pagestore.ObjectID
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
@@ -264,12 +265,12 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
-		result := e.queryObjects(q.Region, pageBuf)
+		resultBuf = e.store.AppendMatches(q.Region, pageBuf, resultBuf[:0])
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
 			Center: q.Center,
-			Result: result,
+			Result: resultBuf,
 			Pages:  append([]pagestore.PageID(nil), pageBuf...),
 		})
 		plan := p.Plan()
@@ -413,12 +414,6 @@ func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (i
 		return spent <= budget
 	})
 	return prefetched, spent
-}
-
-// queryObjects filters the candidate pages' objects by the region (shared
-// with the multi-session plan phase; see serve.go).
-func (e *Engine) queryObjects(r geom.Region, pages []pagestore.PageID) []pagestore.ObjectID {
-	return queryObjects(e.store, r, pages)
 }
 
 // Clone creates an engine over the same (immutable) store and index with

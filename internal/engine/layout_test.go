@@ -68,7 +68,7 @@ func TestRelayoutPreservesResultSets(t *testing.T) {
 	for si, seq := range seqs {
 		for qi, q := range seq.Queries {
 			pages := tree.QueryPages(q.Region, nil)
-			truth[key{si, qi}] = queryObjects(store, q.Region, pages)
+			truth[key{si, qi}] = store.AppendMatches(q.Region, pages, nil)
 		}
 	}
 
@@ -83,7 +83,7 @@ func TestRelayoutPreservesResultSets(t *testing.T) {
 		for si, seq := range seqs {
 			for qi, q := range seq.Queries {
 				pages := tree.QueryPages(q.Region, nil)
-				got := queryObjects(store, q.Region, pages)
+				got := store.AppendMatches(q.Region, pages, nil)
 				if !reflect.DeepEqual(got, truth[key{si, qi}]) {
 					t.Fatalf("layout %s: query %d/%d result set changed", name, si, qi)
 				}

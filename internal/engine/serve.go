@@ -29,7 +29,6 @@ import (
 
 	"scout/internal/cache"
 	"scout/internal/fault"
-	"scout/internal/geom"
 	"scout/internal/pagestore"
 	"scout/internal/prefetch"
 	"scout/internal/workload"
@@ -679,20 +678,6 @@ func cacheCapacity(cfg Config, store *pagestore.Store) int {
 	return capacity
 }
 
-// queryObjects filters the candidate pages' objects by the region; the
-// single-session Engine.queryObjects delegates here.
-func queryObjects(store *pagestore.Store, r geom.Region, pages []pagestore.PageID) []pagestore.ObjectID {
-	var out []pagestore.ObjectID
-	for _, pg := range pages {
-		for _, id := range store.PageObjects(pg) {
-			if pagestore.Matches(r, store.Object(id)) {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
 // SessionPlans is the reusable output of the plan phase: every session's
 // full prefetcher trajectory, priced and page-resolved. Plans depend only
 // on the immutable store/index, the workloads and the cost model — never
@@ -1229,6 +1214,7 @@ func (p *SessionPlans) Serve(cfg ServeConfig) ServeResult {
 // precomputes every step. Pure with respect to shared serving state.
 func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pagestore.CostModel) []step {
 	var steps []step
+	var resultBuf []pagestore.ObjectID
 	p := w.Prefetcher
 	for si, seq := range w.Sequences {
 		p.Reset()
@@ -1239,12 +1225,12 @@ func planSession(store *pagestore.Store, index Index, w SessionWorkload, cost pa
 		for qi, q := range seq.Queries {
 			pages := index.QueryPages(q.Region, nil)
 			cold := cost.ColdCostOn(store, pages)
-			result := queryObjects(store, q.Region, pages)
+			resultBuf = store.AppendMatches(q.Region, pages, resultBuf[:0])
 			p.Observe(prefetch.Observation{
 				Seq:    qi,
 				Region: q.Region,
 				Center: q.Center,
-				Result: result,
+				Result: resultBuf,
 				Pages:  append([]pagestore.PageID(nil), pages...),
 			})
 			plan := p.Plan()

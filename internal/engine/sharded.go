@@ -227,6 +227,7 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		ratio = 1
 	}
 
+	var resultBuf []pagestore.ObjectID
 	var pageBuf []pagestore.PageID
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
@@ -285,13 +286,13 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		tr.Residual = missMax + missCharge
 		tr.RoutedPages = remoteMiss
 
-		result := queryObjects(e.store, q.Region, served)
-		res.ResultHash = hashResult(res.ResultHash, qi, result)
+		resultBuf = e.store.AppendMatches(q.Region, served, resultBuf[:0])
+		res.ResultHash = hashResult(res.ResultHash, qi, resultBuf)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
 			Center: q.Center,
-			Result: result,
+			Result: resultBuf,
 			Pages:  append([]pagestore.PageID(nil), served...),
 		})
 		plan := p.Plan()

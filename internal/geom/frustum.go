@@ -1,6 +1,9 @@
 package geom
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Frustum is a view frustum used by the walkthrough-visualization workloads
 // (paper §7.2.3: "a series of view frustum culling operations ... directly
@@ -120,21 +123,73 @@ func (f Frustum) Contains(p Vec3) bool {
 // rare false positives (standard for frustum culling) but never a false
 // negative.
 func (f Frustum) IntersectsAABB(b AABB) bool {
+	return f.IntersectsAABBMasked(b, allPlanes)
+}
+
+// allPlanes is the plane mask that selects all six planes.
+const allPlanes = 1<<6 - 1
+
+// PlaneMask classifies box b against the frustum's planes, for callers that
+// then test many boxes lying inside b. ok is false when b lies wholly
+// outside some plane, so IntersectsAABB rejects every box inside b.
+// Otherwise bit i of mask is set for each plane i whose inward side does not
+// wholly contain b (negative-vertex test); every box inside b passes the
+// planes left out. For every box o inside b,
+// IntersectsAABBMasked(o, mask) == IntersectsAABB(o).
+//
+// The equality is exact, not approximate: both tests evaluate the same
+// signedDist, and rounded products and sums are monotone, so a corner of o
+// can never score below the corner of b that bounds it along a plane's
+// normal.
+func (f *Frustum) PlaneMask(b AABB) (mask uint8, ok bool) {
+	if b.IsEmpty() {
+		return 0, false
+	}
+	for i := range f.planes {
+		pl := &f.planes[i]
+		if pl.signedDist(pl.pVertex(b)) < 0 {
+			return 0, false
+		}
+		// Written so that a NaN distance (0·Inf, from a box with infinite
+		// coordinates) keeps the plane.
+		if !(pl.signedDist(pl.nVertex(b)) >= 0) {
+			mask |= 1 << i
+		}
+	}
+	return mask, true
+}
+
+// IntersectsAABBMasked is IntersectsAABB restricted to the planes whose bit
+// is set in mask (see PlaneMask).
+func (f *Frustum) IntersectsAABBMasked(b AABB, mask uint8) bool {
 	if b.IsEmpty() {
 		return false
 	}
-	for _, pl := range f.planes {
-		// p-vertex: box corner furthest along the plane normal.
-		p := Vec3{
-			X: pick(pl.n.X >= 0, b.Max.X, b.Min.X),
-			Y: pick(pl.n.Y >= 0, b.Max.Y, b.Min.Y),
-			Z: pick(pl.n.Z >= 0, b.Max.Z, b.Min.Z),
-		}
-		if pl.signedDist(p) < 0 {
+	for m := mask; m != 0; m &= m - 1 {
+		pl := &f.planes[bits.TrailingZeros8(m)]
+		if pl.signedDist(pl.pVertex(b)) < 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// pVertex is the corner of b furthest along the plane normal; nVertex the
+// corner furthest against it.
+func (pl *plane) pVertex(b AABB) Vec3 {
+	return Vec3{
+		X: pick(pl.n.X >= 0, b.Max.X, b.Min.X),
+		Y: pick(pl.n.Y >= 0, b.Max.Y, b.Min.Y),
+		Z: pick(pl.n.Z >= 0, b.Max.Z, b.Min.Z),
+	}
+}
+
+func (pl *plane) nVertex(b AABB) Vec3 {
+	return Vec3{
+		X: pick(pl.n.X >= 0, b.Min.X, b.Max.X),
+		Y: pick(pl.n.Y >= 0, b.Min.Y, b.Max.Y),
+		Z: pick(pl.n.Z >= 0, b.Min.Z, b.Max.Z),
+	}
 }
 
 func pick(cond bool, a, b float64) float64 {

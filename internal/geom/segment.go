@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // Segment is a directed straight line segment from A to B. SCOUT reduces
 // every cylinder to the segment between its two endpoints when building the
 // approximate graph (paper §7.1), so segments are the workhorse geometry of
@@ -40,7 +38,7 @@ func (s Segment) ClosestParam(p Vec3) float64 {
 		return 0
 	}
 	t := p.Sub(s.A).Dot(d) / l2
-	return math.Max(0, math.Min(1, t))
+	return max(0, min(1, t))
 }
 
 // ClosestPoint returns the point on the segment closest to p.
@@ -92,7 +90,7 @@ func (s Segment) DistToSegment(o Segment) float64 {
 	return s.At(t1).Dist(o.At(t2))
 }
 
-func clamp01(t float64) float64 { return math.Max(0, math.Min(1, t)) }
+func clamp01(t float64) float64 { return max(0, min(1, t)) }
 
 // IntersectsAABB reports whether the segment intersects box b, using the
 // slab test. Touching the boundary counts as intersecting.

@@ -196,3 +196,67 @@ func TestFrustumInvalidPanics(t *testing.T) {
 	}()
 	NewFrustum(V(0, 0, 0), V(1, 0, 0), V(0, 0, 1), 1, 1, 5, 2)
 }
+
+// TestFrustumPlaneMask checks PlaneMask's contract on random outer boxes
+// and boxes inside them, including inner boxes that share the outer box's
+// faces: IntersectsAABBMasked with the outer box's mask equals
+// IntersectsAABB, and a rejected outer box rejects everything inside it.
+func TestFrustumPlaneMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	f := NewFrustum(V(0, 0, 0), V(1, 0.2, -0.1), V(0, 0, 1), 1.0, 1.5, 1, 30)
+	var whole, cut, outside int
+	for trial := 0; trial < 20000; trial++ {
+		c := V(rng.Float64()*40-5, rng.Float64()*50-25, rng.Float64()*50-25)
+		outer := BoxAt(c, V(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10))
+		mask, ok := f.PlaneMask(outer)
+		switch {
+		case !ok:
+			outside++
+		case mask == 0:
+			whole++
+		default:
+			cut++
+		}
+		if ok && f.IntersectsAABBMasked(outer, mask) != f.IntersectsAABB(outer) {
+			t.Fatalf("outer %v: masked test disagrees", outer)
+		}
+		for k := 0; k < 8; k++ {
+			// Clamped, since a rounded Lerp may step past outer.Max.
+			lo := outer.Min.Lerp(outer.Max, rng.Float64()).Min(outer.Max)
+			hi := lo.Lerp(outer.Max, rng.Float64()).Min(outer.Max)
+			inner := Box(lo, hi)
+			if k&1 == 1 { // share the outer box's corner faces
+				inner = Box(outer.Min, hi)
+			}
+			want := f.IntersectsAABB(inner)
+			if !ok {
+				if want {
+					t.Fatalf("outer %v rejected but inner %v intersects", outer, inner)
+				}
+				continue
+			}
+			if got := f.IntersectsAABBMasked(inner, mask); got != want {
+				t.Fatalf("inner %v of %v: masked %v, full %v (mask %06b)", inner, outer, got, want, mask)
+			}
+		}
+	}
+	if whole == 0 || cut == 0 || outside == 0 {
+		t.Errorf("cases not covered: whole %d, cut %d, outside %d", whole, cut, outside)
+	}
+	if _, ok := f.PlaneMask(EmptyAABB()); ok {
+		t.Error("empty box classified as intersecting")
+	}
+
+	// An outer box infinite along an axis some plane normal is exactly
+	// orthogonal to: that plane's distance is 0·Inf = NaN, and the plane
+	// must stay in the mask.
+	axial := NewFrustum(V(0, 0, 0), V(1, 0, 0), V(0, 0, 1), 1.0, 1.5, 1, 30)
+	inf := math.Inf(1)
+	outer := AABB{Min: V(-5, -inf, -1), Max: V(40, inf, 1)}
+	mask, ok := axial.PlaneMask(outer)
+	for _, inner := range []AABB{Box(V(-4, 0, 0), V(-3, 1, 0.5)), Box(V(35, 0, 0), V(36, 1, 0.5)), Box(V(5, 0, 0), V(6, 1, 0.5))} {
+		if want := axial.IntersectsAABB(inner); !ok && want || ok && axial.IntersectsAABBMasked(inner, mask) != want {
+			t.Errorf("inner %v of infinite outer box: mask %06b ok %v, full test %v", inner, mask, ok, want)
+		}
+	}
+}

@@ -185,3 +185,39 @@ func TestVecLagrangeIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinMinMaxMatchMath pins the switch from math.Min/math.Max to the
+// builtin min/max in Vec3.Min/Max, clamp01 and ClosestParam: on every pair
+// of ±0, ±1, ±Inf and NaN operands the results are bit-identical, except
+// that the builtins let NaN win over an infinity (math.Min(-Inf, NaN) is
+// -Inf, min(-Inf, NaN) is NaN). No geometry in this repository feeds NaN
+// next to an infinity, and a NaN coordinate poisoning its box is the safer
+// of the two behaviours.
+func TestBuiltinMinMaxMatchMath(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	vals := []float64{-inf, -1, negZero, 0, 1, inf, nan}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			wantMin, wantMax := math.Min(a, b), math.Max(a, b)
+			if (math.IsNaN(a) || math.IsNaN(b)) && (math.IsInf(a, 0) || math.IsInf(b, 0)) {
+				wantMin, wantMax = nan, nan
+			}
+			if got := min(a, b); !same(got, wantMin) {
+				t.Errorf("min(%v, %v) = %v, want %v", a, b, got, wantMin)
+			}
+			if got := max(a, b); !same(got, wantMax) {
+				t.Errorf("max(%v, %v) = %v, want %v", a, b, got, wantMax)
+			}
+			gotMin, gotMax := V(a, a, a).Min(V(b, b, b)), V(a, a, a).Max(V(b, b, b))
+			if !same(gotMin.Y, wantMin) || !same(gotMax.Z, wantMax) {
+				t.Errorf("Vec3.Min/Max(%v, %v) = %v/%v, want %v/%v", a, b, gotMin.Y, gotMax.Z, wantMin, wantMax)
+			}
+		}
+		if got, want := clamp01(a), math.Max(0, math.Min(1, a)); !same(got, want) {
+			t.Errorf("clamp01(%v) = %v, want %v", a, got, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package pagestore
 
 import (
 	"fmt"
+	"math"
 
 	"scout/internal/geom"
 )
@@ -41,9 +42,14 @@ type Object struct {
 	Struct int32
 }
 
-// Bounds returns the conservative axis-aligned bounding box of the object.
+// Bounds returns the conservative axis-aligned bounding box of the object:
+// o.Seg.Bounds().Inflate(o.Radius), spelled out so that it inlines.
 func (o Object) Bounds() geom.AABB {
-	return o.Seg.Bounds().Inflate(o.Radius)
+	a, b, r := o.Seg.A, o.Seg.B, o.Radius
+	return geom.AABB{
+		Min: geom.Vec3{X: min(a.X, b.X) - r, Y: min(a.Y, b.Y) - r, Z: min(a.Z, b.Z) - r},
+		Max: geom.Vec3{X: max(a.X, b.X) + r, Y: max(a.Y, b.Y) + r, Z: max(a.Z, b.Z) + r},
+	}
 }
 
 // Centroid returns the midpoint of the object's segment.
@@ -76,6 +82,10 @@ type Store struct {
 	physOf []PageID
 	// layout names the installed Layout ("" == "insertion").
 	layout string
+	// regular records that every object has finite coordinates and a
+	// finite, non-negative radius, so its bounds lie inside its page MBR;
+	// AppendMatches' fast paths rely on it.
+	regular bool
 }
 
 // PageSizeBytes is the modeled page size (§7.1: "4KB page size").
@@ -92,10 +102,14 @@ const DefaultObjectsPerPage = 64
 // Paginate is called (normally by an index bulk-loader, which chooses the
 // storage order).
 func NewStore(objects []Object) *Store {
-	s := &Store{objects: objects, pageOf: make([]PageID, len(objects))}
+	s := &Store{objects: objects, pageOf: make([]PageID, len(objects)), regular: true}
 	for i := range s.objects {
-		s.objects[i].ID = ObjectID(i)
+		o := &s.objects[i]
+		o.ID = ObjectID(i)
 		s.pageOf[i] = InvalidPage
+		if !(o.Seg.A.IsFinite() && o.Seg.B.IsFinite() && o.Radius >= 0 && !math.IsInf(o.Radius, 1)) {
+			s.regular = false
+		}
 	}
 	return s
 }

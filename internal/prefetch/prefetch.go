@@ -36,7 +36,9 @@ type Observation struct {
 	Region geom.Region
 	Center geom.Vec3
 	// Result lists the matching objects — the query *content*. Baselines
-	// ignore it; SCOUT is defined by using it.
+	// ignore it; SCOUT is defined by using it. The slice is valid only
+	// during Observe: the engines reuse its backing array for the next
+	// query, so a prefetcher that keeps IDs must copy them.
 	Result []pagestore.ObjectID
 	// Pages lists the pages the query touched.
 	Pages []pagestore.PageID

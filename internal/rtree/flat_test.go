@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,7 +48,11 @@ func buildPointerTree(store *pagestore.Store, fanout int) *pointerNode {
 	return level[0]
 }
 
-func (n *pointerNode) queryPages(r geom.Region, rb geom.AABB, dst []pagestore.PageID) []pagestore.PageID {
+// queryPages is the reference descent: the bounds test and the region's
+// own test at every node, with no shortcut for any region type. visited
+// counts the nodes inspected.
+func (n *pointerNode) queryPages(r geom.Region, rb geom.AABB, dst []pagestore.PageID, visited *int64) []pagestore.PageID {
+	*visited++
 	if !n.mbr.Intersects(rb) || !r.IntersectsAABB(n.mbr) {
 		return dst
 	}
@@ -55,7 +60,7 @@ func (n *pointerNode) queryPages(r geom.Region, rb geom.AABB, dst []pagestore.Pa
 		return append(dst, n.page)
 	}
 	for _, c := range n.children {
-		dst = c.queryPages(r, rb, dst)
+		dst = c.queryPages(r, rb, dst, visited)
 	}
 	return dst
 }
@@ -132,7 +137,8 @@ func TestFlatMatchesPointerTree(t *testing.T) {
 						math.Pi/3, 1.3, 1, 5+rng.Float64()*40)
 				}
 				got := sortedPages(tree.QueryPages(q, nil))
-				want := sortedPages(ref.queryPages(q, q.Bounds(), nil))
+				var visited int64
+				want := sortedPages(ref.queryPages(q, q.Bounds(), nil, &visited))
 				if len(got) != len(want) {
 					t.Fatalf("trial %d: flat returned %d pages, pointer %d", trial, len(got), len(want))
 				}
@@ -184,5 +190,66 @@ func TestQueryPagesNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("QueryPages allocates %.1f times per query, want 0", allocs)
+	}
+}
+
+// TestQueryPagesMatchesReferenceDescent pins the lean descent to the
+// reference one: the same pages in the same order and the same
+// NodesVisited count, for boxes, frusta, empty, NaN and infinite regions,
+// over a store whose negative-radius objects make some page MBRs empty.
+func TestQueryPagesMatchesReferenceDescent(t *testing.T) {
+	objs := uniformObjects(3000, 100, 37)
+	// A separate cluster of objects with empty bounds: STR packs them into
+	// pages (and parents) of their own, whose MBRs are empty.
+	for i := 0; i < 400; i++ {
+		p := geom.V(200+float64(i%20), float64(i/20), 50)
+		objs = append(objs, pagestore.Object{Seg: geom.Seg(p, p), Radius: -1})
+	}
+	store := pagestore.NewStore(objs)
+	tree, err := BulkLoad(store, Config{ObjectsPerPage: 20, Fanout: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for p := 0; p < store.NumPages(); p++ {
+		if store.PageBounds(pagestore.PageID(p)).IsEmpty() {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("fixture has no empty page MBR")
+	}
+	ref := buildPointerTree(store, tree.Fanout())
+
+	inf, nan := math.Inf(1), math.NaN()
+	regions := []geom.Region{
+		geom.AABB{Min: geom.V(-inf, -inf, -inf), Max: geom.V(inf, inf, inf)},
+		geom.Box(geom.V(-1e9, -1e9, -1e9), geom.V(1e9, 1e9, 1e9)),
+		geom.AABB{Min: geom.V(10, 10, 10), Max: geom.V(5, 50, 50)}, // empty
+		geom.EmptyAABB(),
+		geom.AABB{Min: geom.V(nan, 0, 0), Max: geom.V(100, 100, 100)},
+		geom.Box(geom.V(190, -10, 40), geom.V(230, 30, 60)), // the empty cluster only
+	}
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		c := geom.V(rng.Float64()*120-10, rng.Float64()*120-10, rng.Float64()*120-10)
+		if trial%3 == 2 {
+			regions = append(regions, geom.NewFrustum(c, geom.V(rng.NormFloat64(), rng.NormFloat64(), 0.3),
+				geom.V(0, 0, 1), math.Pi/3, 1.3, 1, 5+rng.Float64()*60))
+		} else {
+			regions = append(regions, geom.CubeAt(c, 10+rng.Float64()*200000))
+		}
+	}
+	for i, q := range regions {
+		tree.ResetNodesVisited()
+		got := tree.QueryPages(q, nil)
+		var visited int64
+		want := ref.queryPages(q, q.Bounds(), nil, &visited)
+		if !slices.Equal(got, want) {
+			t.Fatalf("region %d (%v): pages %v, reference %v", i, q.Bounds(), got, want)
+		}
+		if tree.NodesVisited() != visited {
+			t.Fatalf("region %d (%v): NodesVisited %d, reference %d", i, q.Bounds(), tree.NodesVisited(), visited)
+		}
 	}
 }

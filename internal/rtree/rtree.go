@@ -111,6 +111,18 @@ func Build(store *pagestore.Store, cfg Config) (*Tree, error) {
 	for i, j := 0, len(t.levels)-1; i < j; i, j = i+1, j-1 {
 		t.levels[i], t.levels[j] = t.levels[j], t.levels[i]
 	}
+	// An empty MBR (a page of objects with empty bounds, or a parent of
+	// only such pages) must match no query. Stored as a NaN box it fails
+	// every comparison of the descent's intersection test, which then
+	// needs no per-node emptiness check.
+	nan := math.NaN()
+	for _, level := range t.levels {
+		for i := range level {
+			if level[i].IsEmpty() {
+				level[i] = geom.AABB{Min: geom.V(nan, nan, nan), Max: geom.V(nan, nan, nan)}
+			}
+		}
+	}
 	t.height = len(t.levels)
 	return t, nil
 }
@@ -170,13 +182,6 @@ func STROrder(objects []pagestore.Object, perPage int) []pagestore.ObjectID {
 	return order
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Store returns the store this tree indexes.
 func (t *Tree) Store() *pagestore.Store { return t.store }
 
@@ -195,6 +200,16 @@ func (t *Tree) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.Pag
 		return dst
 	}
 	rb := r.Bounds()
+	if rb.IsEmpty() {
+		// The root is inspected and rejected.
+		t.nodesVisited.Add(1)
+		return dst
+	}
+	// A box region's own test repeats the bounds test the descent makes
+	// anyway, so only other regions need the second, exact-shape test.
+	if _, ok := r.(geom.AABB); ok {
+		r = nil
+	}
 	dst, visited := t.query(r, rb, 0, 0, dst)
 	t.nodesVisited.Add(visited)
 	return dst
@@ -202,13 +217,19 @@ func (t *Tree) QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.Pag
 
 // query descends the implicit tree from node `node` at depth `level`,
 // returning the grown result slice and the number of nodes inspected in the
-// subtree. Recursion depth equals tree height (≤ 4 even at hundreds of
-// millions of objects with the paper's fanout), and nothing escapes to the
-// heap.
+// subtree. A node qualifies when its MBR meets rb (non-empty, see
+// QueryPages) and, unless r is nil, r.IntersectsAABB accepts it. Empty
+// MBRs were replaced by NaN boxes in Build, so the comparison needs no
+// emptiness test of its own. Recursion depth equals tree height (≤ 4 even
+// at hundreds of millions of objects with the paper's fanout), and nothing
+// escapes to the heap.
 func (t *Tree) query(r geom.Region, rb geom.AABB, level, node int, dst []pagestore.PageID) ([]pagestore.PageID, int64) {
 	visited := int64(1)
-	mbr := t.levels[level][node]
-	if !mbr.Intersects(rb) || !r.IntersectsAABB(mbr) {
+	mbr := &t.levels[level][node]
+	if !(mbr.Min.X <= rb.Max.X && mbr.Max.X >= rb.Min.X &&
+		mbr.Min.Y <= rb.Max.Y && mbr.Max.Y >= rb.Min.Y &&
+		mbr.Min.Z <= rb.Max.Z && mbr.Max.Z >= rb.Min.Z) ||
+		(r != nil && !r.IntersectsAABB(*mbr)) {
 		return dst, visited
 	}
 	if level == t.height-1 {
@@ -225,21 +246,14 @@ func (t *Tree) query(r geom.Region, rb geom.AABB, level, node int, dst []pagesto
 	return dst, visited
 }
 
-// QueryObjects appends to dst the IDs of all objects matching the region,
-// by filtering the objects of every candidate page. The page scan reuses a
-// stack buffer for typical result sizes, so steady-state queries allocate
-// only when dst grows.
+// QueryObjects appends to dst the IDs of all objects matching the region:
+// the candidate pages' objects refined by pagestore.Store.AppendMatches.
+// The page scan reuses a stack buffer for typical result sizes, so
+// steady-state queries allocate only when dst grows.
 func (t *Tree) QueryObjects(r geom.Region, dst []pagestore.ObjectID) []pagestore.ObjectID {
 	var pageArr [512]pagestore.PageID
 	pages := t.QueryPages(r, pageArr[:0])
-	for _, p := range pages {
-		for _, id := range t.store.PageObjects(p) {
-			if pagestore.Matches(r, t.store.Object(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst
+	return t.store.AppendMatches(r, pages, dst)
 }
 
 // NodesVisited returns the cumulative number of nodes inspected by queries.
