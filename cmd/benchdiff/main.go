@@ -24,7 +24,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
+	"strings"
 
 	"scout/internal/benchfmt"
 )
@@ -39,6 +41,34 @@ func load(path string) (benchfmt.File, error) {
 		return bf, fmt.Errorf("%s: %w", path, err)
 	}
 	return bf, nil
+}
+
+// notConfig names the benchfmt.File fields that describe the machine or
+// the results rather than the run configuration: worker and GOMAXPROCS
+// counts only change how fast the same work finishes, which is what the
+// wall-clock gate measures.
+var notConfig = map[string]bool{"Workers": true, "GOMAXPROCS": true, "TotalWallMS": true, "Experiments": true}
+
+// configMismatch returns "field base vs fresh" for every run-configuration
+// field (every benchfmt.File field outside notConfig, named by its JSON key)
+// that differs between the two files. Runs under different configurations
+// measure different work — a heavy-fault run is slower by design, a pinned
+// shard count turns shard1's sweep into one column, a file backend adds
+// real I/O — so any difference voids the comparison. scoutbench writes
+// default settings as zero values, so only a real configuration change
+// differs.
+func configMismatch(base, fresh benchfmt.File) []string {
+	vb, vf := reflect.ValueOf(base), reflect.ValueOf(fresh)
+	var diff []string
+	for i := 0; i < vb.NumField(); i++ {
+		f := vb.Type().Field(i)
+		if notConfig[f.Name] || vb.Field(i).Equal(vf.Field(i)) {
+			continue
+		}
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		diff = append(diff, fmt.Sprintf("%s %#v vs %#v", name, vb.Field(i).Interface(), vf.Field(i).Interface()))
+	}
+	return diff
 }
 
 func main() {
@@ -69,62 +99,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	if base.Scale != fresh.Scale || base.Sequences != fresh.Sequences || base.Seed != fresh.Seed {
-		fmt.Fprintf(os.Stderr, "benchdiff: configuration mismatch (scale %v vs %v, seqs %d vs %d, seed %d vs %d) — comparison void\n",
-			base.Scale, fresh.Scale, base.Sequences, fresh.Sequences, base.Seed, fresh.Seed)
-		os.Exit(2)
-	}
-	if base.Sessions != fresh.Sessions || base.SessionPolicy != fresh.SessionPolicy {
-		fmt.Fprintf(os.Stderr, "benchdiff: multi-session configuration mismatch (sessions %d vs %d, policy %q vs %q) — comparison void\n",
-			base.Sessions, fresh.Sessions, base.SessionPolicy, fresh.SessionPolicy)
-		os.Exit(2)
-	}
-	if base.Layout != fresh.Layout {
-		fmt.Fprintf(os.Stderr, "benchdiff: layout mismatch (%q vs %q) — comparison void\n",
-			base.Layout, fresh.Layout)
-		os.Exit(2)
-	}
-	// Timings under different fault configurations measure different
-	// physics — a heavy-fault run is slower by design, not by regression.
-	if base.Faults != fresh.Faults || base.FaultSeed != fresh.FaultSeed || base.SLOMS != fresh.SLOMS {
-		fmt.Fprintf(os.Stderr, "benchdiff: fault configuration mismatch (faults %q vs %q, faultseed %d vs %d, slo %vms vs %vms) — comparison void\n",
-			base.Faults, fresh.Faults, base.FaultSeed, fresh.FaultSeed, base.SLOMS, fresh.SLOMS)
-		os.Exit(2)
-	}
-	// A sim run and a file-backend run measure different physics (one is a
-	// pure virtual clock, the other includes real disk I/O and checksum
-	// work), as do two file runs under different integrity modes.
-	if base.Backend != fresh.Backend || base.Checksum != fresh.Checksum {
-		fmt.Fprintf(os.Stderr, "benchdiff: backend configuration mismatch (backend %q vs %q, checksum %q vs %q) — comparison void\n",
-			base.Backend, fresh.Backend, base.Checksum, fresh.Checksum)
-		os.Exit(2)
-	}
-	// Offered-load points under different arrival configurations are
-	// different experiments: a bursty 8x sweep's tail says nothing about a
-	// poisson 1x point. scoutbench normalizes the default spellings
-	// ("poisson", "mixed") to empty before writing, so only a real
-	// configuration change voids the comparison.
-	if base.Arrivals != fresh.Arrivals || base.ArrivalRate != fresh.ArrivalRate ||
-		base.Classes != fresh.Classes || base.PatienceMS != fresh.PatienceMS {
-		fmt.Fprintf(os.Stderr, "benchdiff: arrival configuration mismatch (arrivals %q vs %q, rate %v vs %v, classes %q vs %q, patience %vms vs %vms) — comparison void\n",
-			base.Arrivals, fresh.Arrivals, base.ArrivalRate, fresh.ArrivalRate,
-			base.Classes, fresh.Classes, base.PatienceMS, fresh.PatienceMS)
-		os.Exit(2)
-	}
-	// A pinned shard count changes shard1 from a 1..16 sweep to a single
-	// column — different work entirely, so the comparison is void.
-	if base.Shards != fresh.Shards {
-		fmt.Fprintf(os.Stderr, "benchdiff: shard configuration mismatch (shards %d vs %d) — comparison void\n",
-			base.Shards, fresh.Shards)
-		os.Exit(2)
-	}
-	// A replicated fleet pays for replica sweeps, failover probes and hedged
-	// duplicates an unreplicated one never issues, and a pinned mode
-	// collapses ha1's three-mode sweep to one — either way the work differs,
-	// so the comparison is void.
-	if base.Replicas != fresh.Replicas || base.Hedge != fresh.Hedge {
-		fmt.Fprintf(os.Stderr, "benchdiff: replication configuration mismatch (replicas %d vs %d, hedge %v vs %v) — comparison void\n",
-			base.Replicas, fresh.Replicas, base.Hedge, fresh.Hedge)
+	if diff := configMismatch(base, fresh); len(diff) > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: run configuration mismatch (%s) — comparison void\n", strings.Join(diff, ", "))
 		os.Exit(2)
 	}
 	// File-backend wall clocks include real I/O, which is far noisier across

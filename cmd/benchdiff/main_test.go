@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,31 +68,39 @@ func bench(p999 float64) benchfmt.File {
 	}
 }
 
+// assertVoid checks a void comparison: exit 2 and the differing JSON field
+// named in the mismatch line.
+func assertVoid(t *testing.T, out string, code int, field string) {
+	t.Helper()
+	if code != 2 {
+		t.Fatalf("mismatched %s exited %d, want 2\n%s", field, code, out)
+	}
+	if !strings.Contains(out, "run configuration mismatch") || !strings.Contains(out, field+" ") {
+		t.Errorf("output does not name the differing field %q:\n%s", field, out)
+	}
+}
+
 // TestArrivalConfigMismatchVoids: offered-load points measured under
 // different arrival configurations are different experiments — any mismatch
 // in process, rate, class mix or patience must void the comparison (exit 2)
 // rather than report a bogus regression.
 func TestArrivalConfigMismatchVoids(t *testing.T) {
 	mutate := []struct {
-		name string
-		mod  func(*benchfmt.File)
+		name  string
+		field string
+		mod   func(*benchfmt.File)
 	}{
-		{"process", func(f *benchfmt.File) { f.Arrivals = "bursty" }},
-		{"rate", func(f *benchfmt.File) { f.ArrivalRate = 4 }},
-		{"classes", func(f *benchfmt.File) { f.Classes = "uniform" }},
-		{"patience", func(f *benchfmt.File) { f.PatienceMS = 250 }},
+		{"process", "arrivals", func(f *benchfmt.File) { f.Arrivals = "bursty" }},
+		{"rate", "arrival_rate", func(f *benchfmt.File) { f.ArrivalRate = 4 }},
+		{"classes", "classes", func(f *benchfmt.File) { f.Classes = "uniform" }},
+		{"patience", "patience_ms", func(f *benchfmt.File) { f.PatienceMS = 250 }},
 	}
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh := bench(50)
 			tc.mod(&fresh)
 			out, code := runBenchdiff(t, bench(50), fresh)
-			if code != 2 {
-				t.Fatalf("mismatched %s exited %d, want 2\n%s", tc.name, code, out)
-			}
-			if !strings.Contains(out, "arrival configuration mismatch") {
-				t.Errorf("output missing the void reason:\n%s", out)
-			}
+			assertVoid(t, out, code, tc.field)
 		})
 	}
 }
@@ -116,12 +125,7 @@ func TestShardConfigMismatchVoids(t *testing.T) {
 	fresh := bench(50)
 	fresh.Shards = 8
 	out, code := runBenchdiff(t, bench(50), fresh)
-	if code != 2 {
-		t.Fatalf("mismatched shard counts exited %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(out, "shard configuration mismatch") {
-		t.Errorf("output missing the void reason:\n%s", out)
-	}
+	assertVoid(t, out, code, "shards")
 
 	base := bench(50)
 	base.Shards = 8
@@ -148,12 +152,7 @@ func TestReplicationConfigMismatchVoids(t *testing.T) {
 			fresh := bench(50)
 			tc.mod(&fresh)
 			out, code := runBenchdiff(t, bench(50), fresh)
-			if code != 2 {
-				t.Fatalf("mismatched %s exited %d, want 2\n%s", tc.name, code, out)
-			}
-			if !strings.Contains(out, "replication configuration mismatch") {
-				t.Errorf("output missing the void reason:\n%s", out)
-			}
+			assertVoid(t, out, code, tc.name)
 		})
 	}
 
@@ -192,5 +191,53 @@ func TestP999Gate(t *testing.T) {
 				t.Errorf("output missing %q:\n%s", tc.wantOutput, out)
 			}
 		})
+	}
+}
+
+// TestConfigMismatchCoversEveryField: every benchfmt.File field except the
+// machine facts (workers, gomaxprocs), total_wall_ms and the experiments is
+// run configuration — a new field joins the void check without a new
+// clause. Each configuration field, set on the fresh side alone, is named
+// in the mismatch; machine facts never void, and several differing fields
+// are all named.
+func TestConfigMismatchCoversEveryField(t *testing.T) {
+	zero := benchfmt.File{}
+	typ := reflect.TypeOf(zero)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		fresh := reflect.New(typ).Elem()
+		switch v := fresh.Field(i); v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Float64:
+			v.SetFloat(1.5)
+		case reflect.Slice:
+			v.Set(reflect.ValueOf([]benchfmt.Record{{ID: "fig3"}}))
+		default:
+			t.Fatalf("field %s: unhandled kind %s", f.Name, v.Kind())
+		}
+		diff := configMismatch(zero, fresh.Interface().(benchfmt.File))
+		switch name {
+		case "workers", "gomaxprocs", "total_wall_ms", "experiments":
+			if len(diff) != 0 {
+				t.Errorf("%s is not run configuration but voided: %v", name, diff)
+			}
+		default:
+			if len(diff) != 1 || !strings.HasPrefix(diff[0], name+" ") {
+				t.Errorf("%s: mismatch %v, want exactly the %s field", f.Name, diff, name)
+			}
+		}
+	}
+
+	base, fresh := bench(50), bench(50)
+	fresh.Shards, fresh.Replicas, fresh.GOMAXPROCS = 8, 2, 64
+	out, code := runBenchdiff(t, base, fresh)
+	assertVoid(t, out, code, "shards")
+	assertVoid(t, out, code, "replicas")
+	if strings.Contains(out, "gomaxprocs") {
+		t.Errorf("machine fact named as a mismatch:\n%s", out)
 	}
 }

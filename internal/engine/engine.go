@@ -112,11 +112,11 @@ type QueryTrace struct {
 	// Zero on the unsharded path.
 	Fanout      int
 	RoutedPages int
-	// FailedOverPages and LostPages are filled by the sharded engine's HA
-	// path only: demand miss pages served by a replica instead of their
-	// home shard, and demand pages unserved because every member of their
-	// range's replica chain was down (the client waited out its read
-	// deadline and was answered without them).
+	// FailedOverPages and LostPages are filled by the sharded engine only:
+	// demand miss pages served by a replica instead of their home shard,
+	// and demand pages unserved because every member of their range's
+	// replica chain was down (the client waited out its read deadline and
+	// was answered without them).
 	FailedOverPages int
 	LostPages       int
 }
@@ -143,9 +143,9 @@ type SequenceResult struct {
 	// ha1 replication-identity acceptance keys on it. Filled by the
 	// sharded engine only; zero on the unsharded path.
 	ResultHash uint64
-	// LostPages totals QueryTrace.LostPages over all queries (HA path
-	// only): demand pages dropped from result sets because their whole
-	// replica chain was down.
+	// LostPages totals QueryTrace.LostPages over all queries (sharded
+	// engine only): demand pages dropped from result sets because their
+	// whole replica chain was down.
 	LostPages int64
 }
 

@@ -93,10 +93,17 @@ type haRoute struct {
 	hedgeFactor float64
 }
 
+// newRoute is an unhedged route to chain position k's shard at full speed
+// with no discovery charge: newRoute(j, 0) is home j serving itself, and
+// newRoute(-1, -1) the unrouted (lost) start of a chain walk.
+func newRoute(target, k int) haRoute {
+	return haRoute{target: target, k: k, factor: 1, hedge: -1, hedgeFactor: 1}
+}
+
 // haState is the failover router's mutable state: the replicated partition,
-// the (possibly nil) shard-fault injector, one health breaker per shard,
-// and per-fan-out scratch. Single-coordinator, like everything merged on
-// the virtual clock.
+// the (possibly nil) fault injector, one health ledger per shard, and
+// per-fan-out scratch. Single-coordinator, like everything merged on the
+// virtual clock.
 type haState struct {
 	part  *pagestore.Partition
 	inj   *fault.Injector
@@ -107,12 +114,25 @@ type haState struct {
 	health   []breaker
 	routes   []haRoute
 	evidence []float64
+	retries  []int64 // per-shard FaultRetries watermark (see tick)
 	stats    HAStats
 }
 
-// newHAState builds the failover router for a shard fleet. inj may be nil
-// (pure replication, no shard faults); hedge 0 disables hedged prefetch.
-func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.CostModel, retry pagestore.RetryPolicy, hedge float64) *haState {
+// newHAState builds the failover router for a fleet of shards over the
+// store's current layout, with replicas-way chained range replication
+// (clamped to [1, shards] by the partition). inj may be nil; hedge 0
+// disables hedged prefetch.
+//
+// The per-shard health ledgers run only when failover is configured:
+// replicas > 1, hedging, or a plan with shard faults. Without it,
+// transient read retries alone could trip a home's ledger, and a tripped
+// home with no replica to fail over to only loses its prefetch windows
+// (routeQuiet skips it) — the ledger would change an unreplicated fleet's
+// results without protecting anything. With the ledgers off and no shard
+// faults every route is home-serves-home and the HA ledger stays zero
+// (TestShardedLedgerCondition).
+func newHAState(store *pagestore.Store, shards, replicas int, inj *fault.Injector, cost pagestore.CostModel, retry pagestore.RetryPolicy, hedge float64) *haState {
+	part := pagestore.NewReplicatedPartition(store, shards, replicas)
 	n := part.Shards()
 	h := &haState{
 		part:     part,
@@ -123,10 +143,14 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 		health:   make([]breaker, n),
 		routes:   make([]haRoute, n),
 		evidence: make([]float64, n),
+		retries:  make([]int64, n),
 	}
-	cfg := failoverBreakerConfig()
-	for i := range h.health {
-		h.health[i].cfg = cfg
+	shardFaults := inj != nil && inj.Plan().ShardFaultsEnabled()
+	if part.Replicas() > 1 || hedge > 0 || shardFaults {
+		cfg := failoverBreakerConfig()
+		for i := range h.health {
+			h.health[i].cfg = cfg
+		}
 	}
 	return h
 }
@@ -154,7 +178,7 @@ func newHAState(part *pagestore.Partition, inj *fault.Injector, cost pagestore.C
 //     deadline, so it replaces them rather than stacking on top). Under
 //     the single-victim outage model this cannot happen for R >= 2.
 func (h *haState) routeDemand(j int, now time.Duration) haRoute {
-	r := haRoute{target: -1, k: -1, factor: 1, hedge: -1, hedgeFactor: 1}
+	r := newRoute(-1, -1)
 	shards := h.part.Shards()
 	attempt := func(k int) bool {
 		c := h.part.ReplicaShard(j, k)
@@ -199,7 +223,7 @@ func (h *haState) routeDemand(j int, now time.Duration) haRoute {
 // demand turn's discoveries at the same virtual time, and a dead chain is
 // simply skipped (background reads have no waiting client).
 func (h *haState) routeQuiet(j int, now time.Duration) haRoute {
-	r := haRoute{target: -1, k: -1, factor: 1, hedge: -1, hedgeFactor: 1}
+	r := newRoute(-1, -1)
 	shards := h.part.Shards()
 	for k := 0; k < h.part.Replicas(); k++ {
 		c := h.part.ReplicaShard(j, k)
@@ -226,6 +250,44 @@ func (h *haState) hedgePick(j, afterK int, now time.Duration) (int, float64) {
 		return c, h.inj.ShardBrownout(c, now)
 	}
 	return -1, 1
+}
+
+// settle books home j's routed demand sub-batch of miss pages into the HA
+// ledger once its serving read is priced. read is that read's cost after
+// the route's discovery charge: the sweep at the brownout multiplier plus
+// the replica surcharge when a replica served. It reports whether the
+// sub-batch was lost (its whole chain was down).
+func (h *haState) settle(j, miss int, read time.Duration) (lost bool) {
+	r := &h.routes[j]
+	switch {
+	case r.target < 0:
+		h.stats.LostBatches++
+		h.stats.LostPages += int64(miss)
+		h.stats.LostDelay += h.retry.Timeout
+		return true
+	case r.target != j:
+		h.stats.FailedOverBatches++
+		h.stats.FailedOverPages += int64(miss)
+		read -= time.Duration(miss) * h.cost.ReplicaRead
+	}
+	if r.factor > 1 {
+		// read is now base·factor; the brownout's share is read - read/factor.
+		h.stats.BrownedBatches++
+		h.stats.BrownoutDelay += read - time.Duration(float64(read)/r.factor)
+	}
+	return false
+}
+
+// tick folds each shard's injected read retries since the previous tick
+// into its health evidence — retries(i) is shard i's running FaultRetries
+// count — then observes every ledger at now.
+func (h *haState) tick(now time.Duration, retries func(shard int) int64) {
+	for i := range h.retries {
+		n := retries(i)
+		h.evidence[i] += float64(n - h.retries[i])
+		h.retries[i] = n
+	}
+	h.observe(now)
 }
 
 // observe ticks every shard's health ledger with the evidence the current

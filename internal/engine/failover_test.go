@@ -139,8 +139,7 @@ func TestShardSetPanicSurfaces(t *testing.T) {
 // just virtual time passing.
 func TestFailoverLedgerRecovery(t *testing.T) {
 	store, _ := cloudWorld(t, 1000, 9)
-	part := pagestore.NewReplicatedPartition(store, 2, 2)
-	h := newHAState(part, nil, pagestore.DefaultCostModel(), pagestore.RetryPolicy{}, 0)
+	h := newHAState(store, 2, 2, nil, pagestore.DefaultCostModel(), pagestore.RetryPolicy{}, 0)
 	cooldown := failoverBreakerConfig().Cooldown
 
 	t0 := 10 * time.Millisecond
@@ -243,5 +242,107 @@ func TestShardedFailoverHammer(t *testing.T) {
 
 	if _, _, lostNone := run(1, 0, true); lostNone == 0 {
 		t.Fatal("unreplicated run lost nothing under shard:flaky; profile too gentle for the hammer")
+	}
+}
+
+// TestShardedLedgerCondition pins when the per-shard health ledgers run:
+// only with replication, hedging or shard faults configured. Two kinds of
+// case:
+//
+//   - transient faults, no replication: read retries pile up on every
+//     shard, but with nothing to fail over to the ledgers stay disabled, so
+//     no trip ever skips a home's prefetch window and the HA ledger stays
+//     zero on both the engine and the serve path;
+//   - replication inert: a healthy R=2 engine (ledgers enabled, nothing to
+//     feed them) is DeepEqual to the R=1 engine on every SequenceResult and
+//     on the fleet disk stats — the engine-side twin of
+//     TestServeShardedReplicationInert.
+func TestShardedLedgerCondition(t *testing.T) {
+	cloud, cloudTree := cloudWorld(t, 3000, 23)
+	if err := cloud.Relayout(pagestore.HilbertLayout()); err != nil {
+		t.Fatal(err)
+	}
+	defer cloud.Relayout(pagestore.InsertionLayout())
+	line, lineTree := lineWorld(t, 4000)
+
+	runEngine := func(replicas int, faulted bool) ([]SequenceResult, pagestore.DiskStats, HAStats) {
+		cfg := DefaultConfig()
+		cfg.BatchedIO = true
+		cfg.Replicas = replicas
+		if faulted {
+			cfg.Faults = heavyInjector(t, 7)
+		}
+		e := NewShardedEngine(cloud, cloudTree, cfg, 4)
+		defer e.Close()
+		rng := rand.New(rand.NewSource(5))
+		var out []SequenceResult
+		for _, n := range []int{12, 14} {
+			out = append(out, e.RunSequence(randomWalk(rng, n, 22), prefetch.NewStraightLine(22*22*22)))
+		}
+		return out, e.Stats(), e.HAStats()
+	}
+	runServe := func(replicas int, faulted bool) (pagestore.DiskStats, HAStats) {
+		cfg := ServeConfig{
+			Engine:           DefaultConfig(),
+			Policy:           FairShare,
+			InterferenceSeek: time.Millisecond,
+			Shards:           4,
+			Replicas:         replicas,
+			Workers:          2,
+		}
+		cfg.Engine.BatchedIO = true
+		if faulted {
+			cfg.Faults = heavyInjector(t, 7)
+		}
+		res := Serve(line, lineTree, shardServeWorkloads(8), cfg)
+		return res.Disk, res.HA
+	}
+
+	cases := []struct {
+		name      string
+		transient bool // run under the heavy page-fault profile
+		run       func(t *testing.T) (pagestore.DiskStats, HAStats)
+	}{
+		{"engine/R=1/heavy", true, func(t *testing.T) (pagestore.DiskStats, HAStats) {
+			_, disk, ha := runEngine(1, true)
+			return disk, ha
+		}},
+		{"serve/R=1/heavy", true, func(t *testing.T) (pagestore.DiskStats, HAStats) {
+			return runServe(1, true)
+		}},
+		{"engine/R=2/healthy", false, func(t *testing.T) (pagestore.DiskStats, HAStats) {
+			want, wantDisk, _ := runEngine(1, false)
+			got, disk, ha := runEngine(2, false)
+			fanned := false
+			for _, r := range got {
+				for _, tr := range r.Queries {
+					fanned = fanned || tr.Fanout > 1
+				}
+			}
+			if !fanned {
+				t.Fatal("no query fanned out across shards; the inert case is vacuous")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("healthy Replicas=2 engine differs from unreplicated engine")
+			}
+			if disk != wantDisk {
+				t.Errorf("healthy Replicas=2 disk stats differ:\n got %+v\nwant %+v", disk, wantDisk)
+			}
+			return disk, ha
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			disk, ha := tc.run(t)
+			if ha != (HAStats{}) {
+				t.Errorf("HA ledger touched: %+v", ha)
+			}
+			if tc.transient && disk.FaultRetries == 0 {
+				t.Fatal("no injected read retries; the transient-fault case is vacuous")
+			}
+			if disk.PagesRead == 0 {
+				t.Fatal("run read nothing")
+			}
+		})
 	}
 }

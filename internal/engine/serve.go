@@ -126,8 +126,9 @@ type ServeConfig struct {
 	// (DESIGN.md §13): with R > 1 each shard's range is also readable from
 	// the next R-1 shards and demand misses fail over along the chain when
 	// their home is outaged or its health ledger has tripped, at
-	// CostModel.ReplicaRead per replica-served page. 0 or 1 keeps the
-	// replication-free commit path byte-identically. Requires Shards > 0.
+	// CostModel.ReplicaRead per replica-served page. 0 or 1 disables
+	// replication: every home serves itself, bit-exact with the
+	// unreplicated fleet. Requires Shards > 0.
 	Replicas int
 	// Hedge is reserved for parity with engine.Config.Hedge; the serve
 	// path's background prefetch does not hedge (demand failover is what

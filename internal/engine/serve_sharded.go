@@ -22,9 +22,10 @@ type serveShard struct {
 	batch []pagestore.PageID
 }
 
-// serveDemandOut is shard i's result slot for one turn's demand fan-out.
+// serveDemandOut is home shard i's result slot for one turn's demand
+// fan-out.
 type serveDemandOut struct {
-	io     time.Duration // miss sweep plus this shard's stall delay
+	io     time.Duration // stall delay plus the routed miss read
 	stall  time.Duration
 	stalls int64
 	hits   int
@@ -52,18 +53,21 @@ type demandMerge struct {
 
 // serveShardSet is the sharded backend of the commit loop (ServeConfig.
 // Shards > 0): S shard workers over contiguous Hilbert ranges of the layout
-// key, driven through the same plan-then-fan-out router as the
-// single-session ShardedEngine. The commit loop stays the single
-// coordinator — fan-outs from the event loop are sequential — so the
-// virtual-time arithmetic is deterministic; the parallelism lives inside
-// each fan-out. With one shard every split is a no-op, shard 0's cache,
-// disk and arbiter are built exactly like the unsharded serve's, and the
-// whole turn is bit-exact with the unsharded BatchedIO commit path
-// (TestServeShardedSingleShardBitExact).
+// key, driven through the same plan-then-fan-out router and failover layer
+// (haState, DESIGN.md §13) as the single-session ShardedEngine. The commit
+// loop stays the single coordinator — fan-outs from the event loop are
+// sequential — so the virtual-time arithmetic is deterministic; the
+// parallelism lives inside each fan-out. With one shard every split is a
+// no-op, shard 0's cache, disk and arbiter are built exactly like the
+// unsharded serve's, and the whole turn is bit-exact with the unsharded
+// BatchedIO commit path (TestServeShardedSingleShardBitExact).
 type serveShardSet struct {
 	router Router
 	set    *ShardSet[*serveShard]
-	inj    *fault.Injector // nil unless fault injection is armed
+	// ha carries the replicated partition, the fault injector (nil unless
+	// fault injection is armed), the per-shard health ledgers and the
+	// failover routes for the current turn.
+	ha *haState
 
 	parts  [][]pagestore.PageID
 	pparts [][]pagestore.PageID
@@ -71,14 +75,6 @@ type serveShardSet struct {
 	demand []serveDemandOut
 	pref   []servePrefetchOut
 	home   int
-
-	// ha, non-nil when ServeConfig.Replicas > 1 or shard faults are
-	// planned, carries the replicated partition, the per-shard health
-	// ledgers and the failover routes for the current turn (DESIGN.md
-	// §13). Nil keeps demandTurn on the single-fan-out replication-free
-	// path byte-identically.
-	ha        *haState
-	haRetries []int64
 }
 
 // newServeShardSet builds the shard fleet for one Serve call: the cache
@@ -109,32 +105,15 @@ func newServeShardSet(store *pagestore.Store, cfg ServeConfig, sessions, capacit
 		}
 		state[i] = sh
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > shards {
-		replicas = shards
-	}
-	part := pagestore.NewReplicatedPartition(store, shards, replicas)
-	sv := &serveShardSet{
-		router: NewRouter(store, part, cfg.Engine.Cost),
+	ha := newHAState(store, shards, cfg.Replicas, inj, cfg.Engine.Cost, cfg.Retry, 0)
+	return &serveShardSet{
+		router: NewRouter(store, ha.part, cfg.Engine.Cost),
 		set:    NewShardSet(state),
-		inj:    inj,
+		ha:     ha,
 		counts: make([]int, shards),
 		demand: make([]serveDemandOut, shards),
 		pref:   make([]servePrefetchOut, shards),
 	}
-	shardFaults := inj != nil && inj.Plan().ShardFaultsEnabled()
-	if replicas > 1 || shardFaults {
-		var haInj *fault.Injector
-		if shardFaults {
-			haInj = inj
-		}
-		sv.ha = newHAState(part, haInj, cfg.Engine.Cost, cfg.Retry, 0)
-		sv.haRetries = make([]int64, shards)
-	}
-	return sv
 }
 
 // setPriority forwards a class weight to every shard's arbiter.
@@ -151,75 +130,29 @@ func (sv *serveShardSet) setShedding(session int, shed bool) {
 	}
 }
 
-// demandTurn runs one turn's demand phase: split the demand set by shard
-// range, fan out (each shard resets the session's head, charges stalls on
-// its own cache's shard index, looks up its pages and sweeps its misses in
-// one elevator batch), then merge — the residual is the slowest shard's
-// sweep-plus-stall (the shard disks run in parallel) plus Route per miss
-// page shipped from a non-home shard. Remote cache hits stay free, exactly
-// as hits never touch the residual on the unsharded path. The prefetch
+// demandTurn runs one turn's demand phase with failover routing, the
+// serve-path twin of ShardedEngine.demandRead: split the demand set by
+// shard range; fan-out A resets the session's head on every shard, charges
+// stalls on its own cache's shard index and runs the cache lookups; the
+// coordinator chain-walks every missing home's replica at the turn's
+// commit time; fan-out B sweeps each miss sub-batch on its serving shard —
+// browned sweeps billed at their multiplier, replica-slice pages
+// surcharged per page. A home whose whole chain is down contributes its
+// discovery charge plus the client read deadline as its service time (the
+// session is answered degraded; the pages are counted lost in the HA
+// ledger). Then merge: the residual is the slowest shard's sweep-plus-stall
+// (the shard disks run in parallel) plus Route per miss page shipped from a
+// non-home shard. Remote cache hits stay free, exactly as hits never touch
+// the residual on the unsharded path. Health evidence — outage probes,
+// brownout service, injected read retries — folds into the per-shard
+// ledgers at the end of the turn, so a shard that stays sick trips once
+// and is then skipped for free until its cooldown probe. The prefetch
 // slots are reset here so a turn that sheds its window records zero spend.
 func (sv *serveShardSet) demandTurn(s int, pages []pagestore.PageID, contenders int, now time.Duration) demandMerge {
 	sv.parts = sv.router.Split(pages, sv.parts)
 	sv.home = sv.router.Home(sv.parts)
-	parts, outs, prefs, inj := sv.parts, sv.demand, sv.pref, sv.inj
-	if sv.ha == nil {
-		sv.set.Do(func(i int, sh *serveShard) {
-			o := &outs[i]
-			*o = serveDemandOut{}
-			prefs[i] = servePrefetchOut{}
-			sh.disk.resetHead(s)
-			part := parts[i]
-			o.pages = len(part)
-			sh.miss = sh.miss[:0]
-			for _, pg := range part {
-				if inj != nil {
-					if d := inj.ShardStall(sh.cache.ShardIndex(pg), now); d > 0 {
-						o.stall += d
-						o.stalls++
-					}
-				}
-				if sh.cache.Lookup(pg) {
-					o.hits++
-				} else {
-					sh.miss = append(sh.miss, pg)
-				}
-			}
-			o.miss = len(sh.miss)
-			o.io = sh.disk.readBatch(s, sh.miss, contenders, now) + o.stall
-		})
-	} else {
-		sv.demandTurnHA(s, contenders, now)
-	}
-	m := demandMerge{fanout: sv.router.Fanout(parts)}
-	for i := range outs {
-		if outs[i].io > m.residual {
-			m.residual = outs[i].io
-		}
-		m.hits += outs[i].hits
-		m.stall += outs[i].stall
-		m.stallEvents += outs[i].stalls
-		sv.counts[i] = outs[i].miss
-	}
-	m.routed, m.charge = sv.router.Charge(sv.counts, sv.home)
-	m.residual += m.charge
-	return m
-}
-
-// demandTurnHA is demandTurn's fault-tolerant body (DESIGN.md §13), the
-// serve-path twin of ShardedEngine.demandHA: fan-out A prices stalls and
-// runs the cache lookups, the coordinator chain-walks every missing home's
-// replica at the turn's commit time, and fan-out B sweeps each miss
-// sub-batch on its serving shard — browned sweeps billed at their
-// multiplier, replica-slice pages surcharged per page. A home whose whole
-// chain is down contributes its discovery charge plus the client read
-// deadline as its service time (the session is answered degraded; the
-// pages are counted lost in the HA ledger). Health evidence — outage
-// probes, brownout service, injected read retries — folds into the
-// per-shard ledgers at the end of the turn, so a shard that stays sick
-// trips once and is then skipped for free until its cooldown probe.
-func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
-	parts, outs, prefs, inj, ha := sv.parts, sv.demand, sv.pref, sv.inj, sv.ha
+	parts, outs, prefs, ha := sv.parts, sv.demand, sv.pref, sv.ha
+	inj := ha.inj
 	sv.set.Do(func(i int, sh *serveShard) {
 		o := &outs[i]
 		*o = serveDemandOut{}
@@ -242,11 +175,12 @@ func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
 			}
 		}
 		o.miss = len(sh.miss)
+		o.io = o.stall
 	})
 
 	for j := 0; j < sv.set.Shards(); j++ {
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(parts[j]) > 0 && len(sv.set.State(j).miss) > 0 {
+		r := newRoute(j, 0)
+		if len(sv.set.State(j).miss) > 0 {
 			r = ha.routeDemand(j, now)
 		}
 		ha.routes[j] = r
@@ -255,10 +189,10 @@ func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
 	sv.set.Do(func(t int, sh *serveShard) {
 		for j := 0; j < sv.set.Shards(); j++ {
 			r := &ha.routes[j]
-			if r.target != t || len(parts[j]) == 0 {
+			miss := sv.set.State(j).miss
+			if r.target != t || len(miss) == 0 {
 				continue
 			}
-			miss := sv.set.State(j).miss
 			base := sh.disk.readBatch(s, miss, contenders, now)
 			var extra time.Duration
 			if r.factor > 1 {
@@ -269,47 +203,36 @@ func (sv *serveShardSet) demandTurnHA(s, contenders int, now time.Duration) {
 				repPages = int64(len(miss))
 			}
 			rep := sh.disk.chargeHA(extra, repPages)
-			outs[j].io = r.pre + base + extra + rep + outs[j].stall
+			outs[j].io += r.pre + base + extra + rep
 		}
 	})
 
 	for j := 0; j < sv.set.Shards(); j++ {
 		r := &ha.routes[j]
-		if len(parts[j]) == 0 {
-			continue
-		}
 		miss := sv.set.State(j).miss
 		if len(miss) == 0 {
-			outs[j].io = outs[j].stall
 			continue
 		}
-		switch {
-		case r.target < 0:
-			ha.stats.LostBatches++
-			ha.stats.LostPages += int64(len(miss))
-			ha.stats.LostDelay += ha.retry.Timeout
+		if ha.settle(j, len(miss), outs[j].io-r.pre-outs[j].stall) {
 			outs[j].miss = 0
-			outs[j].io = r.pre + outs[j].stall
-		case r.target != j:
-			ha.stats.FailedOverBatches++
-			ha.stats.FailedOverPages += int64(len(miss))
-		}
-		if r.target >= 0 && r.factor > 1 {
-			ha.stats.BrownedBatches++
-			x := outs[j].io - r.pre - outs[j].stall
-			if r.target != j {
-				x -= time.Duration(len(miss)) * ha.cost.ReplicaRead
-			}
-			ha.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
+			outs[j].io += r.pre
 		}
 	}
+	ha.tick(now, func(i int) int64 { return sv.set.State(i).disk.stats.FaultRetries })
 
-	for i := 0; i < sv.set.Shards(); i++ {
-		retries := sv.set.State(i).disk.stats.FaultRetries
-		ha.evidence[i] += float64(retries - sv.haRetries[i])
-		sv.haRetries[i] = retries
+	m := demandMerge{fanout: sv.router.Fanout(parts)}
+	for i := range outs {
+		if outs[i].io > m.residual {
+			m.residual = outs[i].io
+		}
+		m.hits += outs[i].hits
+		m.stall += outs[i].stall
+		m.stallEvents += outs[i].stalls
+		sv.counts[i] = outs[i].miss
 	}
-	ha.observe(now)
+	m.routed, m.charge = sv.router.Charge(sv.counts, sv.home)
+	m.residual += m.charge
+	return m
 }
 
 // prefetchTurn runs one granted prefetch window: the step's prediction set
@@ -330,7 +253,7 @@ func (sv *serveShardSet) prefetchTurn(s int, st step, budget time.Duration, cont
 	sv.pparts = sv.router.Split(buf, sv.pparts)
 	parts, outs := sv.pparts, sv.pref
 	nc := len(contenders)
-	ha := sv.ha
+	inj := sv.ha.inj
 	sv.set.Do(func(i int, sh *serveShard) {
 		o := &outs[i]
 		grant := sh.arb.Grant(s, contenders, budget)
@@ -338,18 +261,15 @@ func (sv *serveShardSet) prefetchTurn(s int, st step, budget time.Duration, cont
 		if grant <= 0 {
 			return
 		}
-		factor := 1.0
-		if ha != nil {
-			// Background reads have no failover on the serve path (demand
-			// failover is what protects waiting clients): an outaged home
-			// simply skips its window, a browned one sweeps at its
-			// multiplier and delivers fewer pages per grant. ShardOutage/
-			// ShardBrownout are pure, so this is safe on the workers.
-			if ha.inj.ShardOutage(i, sv.set.Shards(), now) {
-				return
-			}
-			factor = ha.inj.ShardBrownout(i, now)
+		// Background reads have no failover on the serve path (demand
+		// failover is what protects waiting clients): an outaged home
+		// simply skips its window, a browned one sweeps at its multiplier
+		// and delivers fewer pages per grant. ShardOutage/ShardBrownout are
+		// pure, so this is safe on the workers.
+		if inj.ShardOutage(i, sv.set.Shards(), now) {
+			return
 		}
+		factor := inj.ShardBrownout(i, now)
 		sh.batch = append(sh.batch[:0], parts[i]...)
 		sh.batch = assembleBatch(sh.disk.store, sh.cache, sh.batch)
 		var spent time.Duration
@@ -441,9 +361,7 @@ func (sv *serveShardSet) ledger(session int) SessionLedger {
 // result (per-shard disk stats kept in shard order for the experiments)
 // and stops the workers.
 func (sv *serveShardSet) finish(res *ServeResult) {
-	if sv.ha != nil {
-		res.HA = sv.ha.stats
-	}
+	res.HA = sv.ha.stats
 	res.ShardDisks = make([]pagestore.DiskStats, sv.set.Shards())
 	for i := 0; i < sv.set.Shards(); i++ {
 		d := sv.set.State(i).disk

@@ -141,10 +141,10 @@ func TestServeShardedCrossWorkerByteIdentity(t *testing.T) {
 }
 
 // TestServeShardedReplicationInert: with every chain healthy, serve-path
-// replication must be invisible — a Replicas=2 serve (which runs the full
-// HA demand fan-out: route, failover ledger, chain walk) is byte-identical
-// to the Replicas=0 plain serve, ledgers included. Replication may only
-// cost something when a fault makes it earn something.
+// replication must be invisible — a Replicas=2 serve (route, enabled
+// failover ledger, chain walk) is byte-identical to the Replicas=0 serve,
+// ledgers included. Replication may only cost something when a fault makes
+// it earn something.
 func TestServeShardedReplicationInert(t *testing.T) {
 	store, tree := lineWorld(t, 4000)
 	cfg := ServeConfig{

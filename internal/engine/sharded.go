@@ -42,11 +42,13 @@ type prefetchOut struct {
 // set and prefetch prediction set by range; per-shard elevator batches run
 // genuinely in parallel on the shard workers, and the merged service time
 // is the slowest shard (parallel I/O) plus a per-page routing charge for
-// pages shipped from non-home shards. The plan phase (prefetcher observe +
-// plan) is untouched, and the commit arithmetic is deterministic, so output
-// is byte-identical run-to-run; with S=1 every split is a no-op and the
-// result is bit-exact with the unsharded BatchedIO engine
-// (TestShardedSingleShardBitExact).
+// pages shipped from non-home shards. Every storage read is routed through
+// the failover layer (haState, DESIGN.md §13), which with one replica, no
+// hedging and no shard faults routes every home to itself. The plan phase
+// (prefetcher observe + plan) is untouched, and the commit arithmetic is
+// deterministic, so output is byte-identical run-to-run; with S=1 every
+// split is a no-op and the result is bit-exact with the unsharded
+// BatchedIO engine (TestShardedSingleShardBitExact).
 //
 // A ShardedEngine is a single-coordinator object: RunSequence must not be
 // called concurrently on the same instance. Use Clone for parallel runs.
@@ -67,13 +69,9 @@ type ShardedEngine struct {
 	batchBuf []pagestore.PageID
 	reqBuf   []pagestore.PageID
 
-	// High-availability state (DESIGN.md §13), nil unless replication,
-	// hedging or shard faults are configured — the nil check is what keeps
-	// every replication-free run on the exact PR-era fan-out code path and
-	// therefore byte-identical to its pinned goldens.
+	// Failover routing for every storage read (DESIGN.md §13).
 	ha        *haState
 	vclock    time.Duration // virtual serving clock: sum of Residual+Window over all queries run
-	haRetries []int64       // per-shard FaultRetries watermark for health evidence
 	prefHedge []prefetchOut // hedge result slots for the prefetch fan-out
 	estBuf    []time.Duration
 }
@@ -92,14 +90,8 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 	if shards < 1 {
 		shards = 1
 	}
-	replicas := cfg.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > shards {
-		replicas = shards
-	}
-	part := pagestore.NewReplicatedPartition(store, shards, replicas)
+	inj, _ := cfg.Faults.(*fault.Injector)
+	ha := newHAState(store, shards, cfg.Replicas, inj, cfg.Cost, cfg.Retry, cfg.Hedge)
 	capacity := cacheCapacity(cfg, store)
 	base, extra := capacity/shards, capacity%shards
 	state := make([]*engineShard, shards)
@@ -120,38 +112,24 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 		}
 		state[i] = sh
 	}
-	e := &ShardedEngine{
-		store:    store,
-		index:    index,
-		cfg:      cfg,
-		shards:   shards,
-		router:   NewRouter(store, part, cfg.Cost),
-		set:      NewShardSet(state),
-		demand:   make([]demandOut, shards),
-		prefetch: make([]prefetchOut, shards),
-		counts:   make([]int, shards),
+	return &ShardedEngine{
+		store:     store,
+		index:     index,
+		cfg:       cfg,
+		shards:    shards,
+		router:    NewRouter(store, ha.part, cfg.Cost),
+		set:       NewShardSet(state),
+		demand:    make([]demandOut, shards),
+		prefetch:  make([]prefetchOut, shards),
+		counts:    make([]int, shards),
+		ha:        ha,
+		prefHedge: make([]prefetchOut, shards),
 	}
-	inj, _ := cfg.Faults.(*fault.Injector)
-	shardFaults := inj != nil && inj.Plan().ShardFaultsEnabled()
-	if replicas > 1 || cfg.Hedge > 0 || shardFaults {
-		if !shardFaults {
-			inj = nil
-		}
-		e.ha = newHAState(part, inj, cfg.Cost, cfg.Retry, cfg.Hedge)
-		e.haRetries = make([]int64, shards)
-		e.prefHedge = make([]prefetchOut, shards)
-	}
-	return e
 }
 
 // HAStats returns the accumulated high-availability ledger (zero value when
 // the engine runs without replication, hedging or shard faults).
-func (e *ShardedEngine) HAStats() HAStats {
-	if e.ha == nil {
-		return HAStats{}
-	}
-	return e.ha.stats
-}
+func (e *ShardedEngine) HAStats() HAStats { return e.ha.stats }
 
 // Shards returns the shard count.
 func (e *ShardedEngine) Shards() int { return e.shards }
@@ -240,31 +218,7 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 
 		outs := e.demand
 		parts := e.parts
-		served := pageBuf
-		if e.ha == nil {
-			e.set.Do(func(i int, sh *engineShard) {
-				o := &outs[i]
-				*o = demandOut{}
-				sh.disk.ResetHead()
-				part := parts[i]
-				if len(part) == 0 {
-					return
-				}
-				o.cold = sh.disk.ColdCost(part)
-				sh.miss = sh.miss[:0]
-				for _, pg := range part {
-					if sh.cache.Lookup(pg) {
-						o.hits++
-					} else {
-						sh.miss = append(sh.miss, pg)
-					}
-				}
-				o.miss = len(sh.miss)
-				o.missCost = sh.disk.ReadBatch(sh.miss)
-			})
-		} else {
-			served = e.demandHA(parts, pageBuf, &tr)
-		}
+		served := e.demandRead(parts, pageBuf, &tr)
 
 		var coldMax, missMax time.Duration
 		for i := range outs {
@@ -306,15 +260,7 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 			budget -= plan.Prediction
 		}
 		if qi < len(seq.Queries)-1 && budget > 0 {
-			var prefetched int
-			var ioTime time.Duration
-			if e.ha == nil {
-				prefetched, ioTime = e.executePlanSharded(plan, budget)
-			} else {
-				prefetched, ioTime = e.executePlanShardedHA(plan, budget)
-			}
-			tr.Prefetched = prefetched
-			tr.PrefetchIO = ioTime
+			tr.Prefetched, tr.PrefetchIO = e.executePlanSharded(plan, budget)
 		}
 
 		if e.cfg.ScrubPages > 0 && e.cfg.Backing != nil && qi < len(seq.Queries)-1 {
@@ -331,20 +277,13 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 			}
 		}
 
-		if e.ha != nil {
-			// Fold this query's injected read retries into shard health
-			// evidence, tick every ledger, and advance the virtual serving
-			// clock by the query's end-to-end span. The clock persists
-			// across sequences: fault episodes are functions of total time
-			// served, not of per-sequence offsets.
-			for i := 0; i < e.shards; i++ {
-				retries := e.set.State(i).disk.Stats().FaultRetries
-				e.ha.evidence[i] += float64(retries - e.haRetries[i])
-				e.haRetries[i] = retries
-			}
-			e.ha.observe(e.vclock)
-			e.vclock += tr.Residual + tr.Window
-		}
+		// Fold this query's injected read retries into shard health
+		// evidence, tick every ledger, and advance the virtual serving
+		// clock by the query's end-to-end span. The clock persists across
+		// sequences: fault episodes are functions of total time served, not
+		// of per-sequence offsets.
+		e.ha.tick(e.vclock, func(i int) int64 { return e.set.State(i).disk.Stats().FaultRetries })
+		e.vclock += tr.Residual + tr.Window
 
 		counted := !(e.cfg.SkipFirstQuery && qi == 0)
 		if counted {
@@ -364,57 +303,6 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 	return res
 }
 
-// executePlanSharded is executePlanBatched with the prediction set split by
-// shard range: each shard assembles its sub-batch against its own cache and
-// sweeps its runs under the full window budget, concurrently. Shard ranges
-// are contiguous in physical order, so with S=1 the single sub-batch is the
-// global batch and the arithmetic is bit-exact with the unsharded flush.
-func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
-	for _, r := range plan.Requests {
-		e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
-		buf = append(buf, e.reqBuf...)
-	}
-	e.batchBuf = buf
-
-	e.pparts = e.router.Split(buf, e.pparts)
-	outs := e.prefetch
-	parts := e.pparts
-	maxBridge := e.cfg.Cost.MaxBridge()
-	e.set.Do(func(i int, sh *engineShard) {
-		o := &outs[i]
-		*o = prefetchOut{}
-		part := parts[i]
-		if len(part) == 0 {
-			return
-		}
-		sh.batch = append(sh.batch[:0], part...)
-		sh.batch = assembleBatch(e.store, sh.cache, sh.batch)
-		var spent time.Duration
-		n := 0
-		e.store.Runs(sh.batch, maxBridge, func(run []pagestore.PageID) bool {
-			spent += sh.disk.ReadSorted(run)
-			for _, pg := range run {
-				sh.cache.Insert(pg)
-				n++
-			}
-			return spent <= budget
-		})
-		o.spent, o.n = spent, n
-	})
-
-	var spentMax time.Duration
-	total := 0
-	for i := range outs {
-		total += outs[i].n
-		if outs[i].spent > spentMax {
-			spentMax = outs[i].spent
-		}
-	}
-	return total, spentMax
-}
-
 // fnvOffset/fnvPrime are the FNV-1a constants behind SequenceResult.ResultHash.
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -432,9 +320,8 @@ func hashResult(h uint64, qi int, result []pagestore.ObjectID) uint64 {
 	return h
 }
 
-// demandHA is the demand read with failover routing (DESIGN.md §13). It
-// splits the plain single fan-out into two so the coordinator can route
-// between them:
+// demandRead is the demand read with failover routing (DESIGN.md §13),
+// split into two fan-outs so the coordinator can route between them:
 //
 //	A: every home shard prices its cold sweep and runs its cache lookups —
 //	   no storage reads yet, only the miss sub-batches are known after this.
@@ -443,13 +330,11 @@ func hashResult(h uint64, qi int, result []pagestore.ObjectID) uint64 {
 //	   sub-batches assigned to them, a browned shard's sweep billed at its
 //	   multiplier and replica-slice reads surcharged per page.
 //
-// With every chain healthy each home serves itself and the two fan-outs
-// issue exactly the per-worker disk call sequence of the plain path, which
-// is the bit-exactness argument for replication without faults. A home
-// whose whole chain is down loses its misses: the pages are dropped from
-// the served result (the caller answers degraded after waiting out the
-// client read deadline), never silently zero-costed.
-func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore.PageID, tr *QueryTrace) []pagestore.PageID {
+// A home whose whole chain is down loses its misses: the pages are dropped
+// from the served result (the caller answers degraded after waiting out
+// the client read deadline), never silently zero-costed. It returns the
+// served page set.
+func (e *ShardedEngine) demandRead(parts [][]pagestore.PageID, pageBuf []pagestore.PageID, tr *QueryTrace) []pagestore.PageID {
 	ha := e.ha
 	outs := e.demand
 	now := e.vclock
@@ -458,12 +343,12 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 		o := &outs[i]
 		*o = demandOut{}
 		sh.disk.ResetHead()
+		sh.miss = sh.miss[:0]
 		part := parts[i]
 		if len(part) == 0 {
 			return
 		}
 		o.cold = sh.disk.ColdCost(part)
-		sh.miss = sh.miss[:0]
 		for _, pg := range part {
 			if sh.cache.Lookup(pg) {
 				o.hits++
@@ -473,28 +358,21 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 		}
 	})
 
-	anyLost := false
 	for j := 0; j < e.shards; j++ {
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
-		if len(e.set.State(j).miss) > 0 && len(parts[j]) > 0 {
+		r := newRoute(j, 0)
+		if len(e.set.State(j).miss) > 0 {
 			r = ha.routeDemand(j, now)
 		}
 		ha.routes[j] = r
-		if r.target < 0 {
-			anyLost = true
-		}
 	}
 
 	e.set.Do(func(t int, sh *engineShard) {
 		for j := 0; j < e.shards; j++ {
 			r := &ha.routes[j]
-			if r.target != t {
-				continue
-			}
-			if len(parts[j]) == 0 {
-				continue
-			}
 			miss := e.set.State(j).miss
+			if r.target != t || len(miss) == 0 {
+				continue
+			}
 			base := sh.disk.ReadBatch(miss)
 			var extra time.Duration
 			if r.factor > 1 {
@@ -510,34 +388,19 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 		}
 	})
 
+	anyLost := false
 	for j := 0; j < e.shards; j++ {
 		r := &ha.routes[j]
 		miss := e.set.State(j).miss
-		if len(parts[j]) == 0 || len(miss) == 0 {
+		if len(miss) == 0 {
 			continue
 		}
-		switch {
-		case r.target < 0:
-			ha.stats.LostBatches++
-			ha.stats.LostPages += int64(len(miss))
-			ha.stats.LostDelay += ha.retry.Timeout
+		if ha.settle(j, len(miss), outs[j].missCost-r.pre) {
 			tr.LostPages += len(miss)
-			outs[j].miss = 0
 			outs[j].missCost = r.pre
-		case r.target != j:
-			ha.stats.FailedOverBatches++
-			ha.stats.FailedOverPages += int64(len(miss))
+			anyLost = true
+		} else if r.target != j {
 			tr.FailedOverPages += len(miss)
-		}
-		if r.target >= 0 && r.factor > 1 {
-			ha.stats.BrownedBatches++
-			// The serving read cost x = base·factor (+replica surcharge,
-			// subtracted off first); the brownout's share is x - x/factor.
-			x := outs[j].missCost - r.pre
-			if r.target != j {
-				x -= time.Duration(len(miss)) * ha.cost.ReplicaRead
-			}
-			ha.stats.BrownoutDelay += x - time.Duration(float64(x)/r.factor)
 		}
 	}
 
@@ -570,7 +433,7 @@ func (e *ShardedEngine) demandHA(parts [][]pagestore.PageID, pageBuf []pagestore
 // this shard serves the range from its replica slice. It only prices — the
 // delivered-page count n is replayed for cache insertion on the home shard
 // once the (possibly hedged) winner is known. The budget closes on the run
-// that crossed it, exactly like the plain flush.
+// that crossed it.
 func (sh *engineShard) priceSweep(store *pagestore.Store, batch []pagestore.PageID, maxBridge pagestore.PageID, budget time.Duration, factor float64, replica bool) prefetchOut {
 	var spent, brown time.Duration
 	var repPages int64
@@ -596,24 +459,25 @@ func (sh *engineShard) priceSweep(store *pagestore.Store, batch []pagestore.Page
 	return prefetchOut{spent: spent, n: n}
 }
 
-// executePlanShardedHA is executePlanSharded with failover routing and
-// hedged reads, split into three fan-outs:
+// executePlanSharded is executePlanBatched with the prediction set split by
+// shard range, failover routing and hedged reads, in three fan-outs:
 //
 //	A: each home assembles its sub-batch against its own cache (dedup +
-//	   elevator order), exactly as the plain path does inline.
+//	   elevator order).
 //	B: the coordinator routes every sub-batch (routeQuiet — background work
 //	   pays no probes and skips dead chains) and, when hedging is on, marks
 //	   the slowest estimated sub-batch for duplicate issue to its next live
-//	   replica (planHedge); the serving shards then price the sweeps.
+//	   replica (planHedge); the serving shards then price the sweeps, each
+//	   under the full window budget, concurrently.
 //	C: the coordinator takes the cheaper outcome of each hedged pair, and
 //	   every home replays its winner's delivered run prefix into its own
 //	   cache — insertion must happen on the home (the cache slice is the
 //	   home's), which is why pricing and insertion are separate fan-outs.
 //
-// Healthy chains reduce to home-serves-home with no hedge marks, and the
-// three fan-outs replay the plain path's disk and cache call sequences
-// verbatim.
-func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
+// Shard ranges are contiguous in physical order, so with S=1 the single
+// sub-batch is the global batch and the arithmetic is bit-exact with the
+// unsharded flush.
+func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
 	buf := e.batchBuf[:0]
 	buf = append(buf, plan.TraversalPages...)
 	for _, r := range plan.Requests {
@@ -641,7 +505,7 @@ func (e *ShardedEngine) executePlanShardedHA(plan prefetch.Plan, budget time.Dur
 	for j := 0; j < e.shards; j++ {
 		mains[j] = prefetchOut{}
 		hedges[j] = prefetchOut{}
-		r := haRoute{target: j, factor: 1, hedge: -1, hedgeFactor: 1}
+		r := newRoute(j, 0)
 		if len(e.set.State(j).batch) > 0 {
 			r = ha.routeQuiet(j, now)
 		}
