@@ -169,6 +169,14 @@ func (r SequenceResult) Speedup() float64 {
 // Index is the spatial index contract the engine needs. The FLAT index adds
 // ordered retrieval on top, which SCOUT-OPT uses internally; the engine
 // itself only needs candidate pages.
+//
+// QueryPages appends the region's candidate pages to dst and returns the
+// grown slice. For boxes it must be monotone under containment: when
+// outer.ContainsBox(inner), every page QueryPages returns for inner is also
+// returned for outer. The union flushes rely on it to skip covered ladder
+// rungs (appendPredictionSet). rtree.Tree and flatindex.Index both qualify:
+// a node qualifies when its MBR meets the query box, and any MBR that meets
+// inner meets outer (TestRungSkipProperty).
 type Index interface {
 	QueryPages(r geom.Region, dst []pagestore.PageID) []pagestore.PageID
 }
@@ -180,6 +188,8 @@ type Engine struct {
 	disk  *pagestore.Disk
 	cache *cache.Cache
 	cfg   Config
+	// look refines each query one query ahead (lookahead.go).
+	look lookahead
 	// batchBuf is the batched prefetch flush's reusable prediction-set
 	// scratch (BatchedIO mode only).
 	batchBuf []pagestore.PageID
@@ -196,6 +206,7 @@ func New(store *pagestore.Store, index Index, cfg Config) *Engine {
 		disk:  pagestore.NewDisk(store, cfg.Cost),
 		cache: cache.New(cacheCapacity(cfg, store)),
 		cfg:   cfg,
+		look:  lookahead{store: store},
 	}
 	if cfg.Faults != nil {
 		e.disk.SetFaults(cfg.Faults, cfg.Retry)
@@ -227,9 +238,10 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		ratio = 1
 	}
 
-	var pageBuf []pagestore.PageID
+	look := &e.look
+	look.begin(e.index, seq.Queries)
+	defer look.end()
 	var missBuf []pagestore.PageID
-	var resultBuf []pagestore.ObjectID
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
@@ -245,7 +257,11 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 		// §7.1) — user-query misses are NOT inserted, so the hit rate is a
 		// pure measure of prediction accuracy, which is what makes the
 		// paper's Figure 3 baselines meaningful.
-		pageBuf = e.index.QueryPages(q.Region, pageBuf[:0])
+		//
+		// advance also looks up query qi+1's pages, so its refinement runs
+		// on the lookahead helper while this query is served, observed and
+		// committed.
+		pageBuf := look.advance(qi)
 		tr.ResultPages = len(pageBuf)
 		tr.Cold = e.disk.ColdCost(pageBuf)
 
@@ -265,12 +281,11 @@ func (e *Engine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher) Seque
 
 		// 2. The prefetcher observes the completed query (content included:
 		// SCOUT needs it, baselines ignore it).
-		resultBuf = e.store.AppendMatches(q.Region, pageBuf, resultBuf[:0])
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
 			Region: q.Region,
 			Center: q.Center,
-			Result: resultBuf,
+			Result: look.wait(qi),
 			Pages:  append([]pagestore.PageID(nil), pageBuf...),
 		})
 		plan := p.Plan()
@@ -383,21 +398,14 @@ func (e *Engine) executePlan(plan prefetch.Plan, budget time.Duration) (int, tim
 }
 
 // executePlanBatched is the BatchedIO flush: the plan's whole prediction
-// set — traversal pages plus every request's pages — accumulates into one
-// batch, cached pages drop out, and the rest is read in a single elevator
-// sweep (ascending physical order, one seek per physically contiguous
-// run). The budget applies to runs, not pages: a run that crosses the line
+// set (appendPredictionSet) accumulates into one batch, cached pages drop
+// out, and the rest is read in a single elevator sweep (ascending physical
+// order, one seek per physically contiguous run). The budget applies to runs, not pages: a run that crosses the line
 // still completes (a half-fetched run would waste its seek), and no
 // further run starts. The sweep trades the incremental ladder's priority
 // order for physical locality; layout1 measures that trade.
 func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
-	var req []pagestore.PageID
-	for _, r := range plan.Requests {
-		req = e.index.QueryPages(r.Region, req[:0])
-		buf = append(buf, req...)
-	}
+	buf := appendPredictionSet(e.index, plan, e.batchBuf[:0])
 	buf = assembleBatch(e.store, e.cache, buf)
 	e.batchBuf = buf
 
@@ -414,6 +422,41 @@ func (e *Engine) executePlanBatched(plan prefetch.Plan, budget time.Duration) (i
 		return spent <= budget
 	})
 	return prefetched, spent
+}
+
+// appendPredictionSet appends a plan's prediction set for the union flushes
+// (executePlanBatched, executePlanSharded) to buf: the traversal pages,
+// then the pages of every request, except that a box request lying inside
+// a later box request of the plan is skipped. That is exact: QueryPages is
+// monotone under box containment (see Index), so the skipped request's
+// pages are among the later one's, and the flushes only use the union,
+// which assembleBatch sorts and de-duplicates. Every SCOUT ladder is a
+// chain of nested boxes (prefetch.IncrementalRequests), so a ladder costs
+// one index descent instead of one per rung. The per-page flush
+// (executePlan) keeps resolving every request: its order is the priority.
+func appendPredictionSet(index Index, plan prefetch.Plan, buf []pagestore.PageID) []pagestore.PageID {
+	buf = append(buf, plan.TraversalPages...)
+	for i, r := range plan.Requests {
+		if !coveredLater(plan.Requests, i) {
+			buf = index.QueryPages(r.Region, buf)
+		}
+	}
+	return buf
+}
+
+// coveredLater reports whether request i is a box inside some later box
+// request.
+func coveredLater(reqs []prefetch.Request, i int) bool {
+	inner, ok := reqs[i].Region.(geom.AABB)
+	if !ok {
+		return false
+	}
+	for _, r := range reqs[i+1:] {
+		if outer, ok := r.Region.(geom.AABB); ok && outer.ContainsBox(inner) {
+			return true
+		}
+	}
+	return false
 }
 
 // Clone creates an engine over the same (immutable) store and index with
@@ -467,6 +510,9 @@ func (e *Engine) RunEach(seqs []workload.Sequence, p prefetch.Prefetcher, worker
 		go func() {
 			defer wg.Done()
 			we := e.Clone()
+			// Every worker is a coordinator, so the cores are already
+			// busy: a lookahead helper per worker would only add switching.
+			we.look.inline = true
 			wp := cl.Clone()
 			for {
 				i := int(next.Add(1)) - 1

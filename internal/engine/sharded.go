@@ -67,7 +67,10 @@ type ShardedEngine struct {
 	prefetch []prefetchOut
 	counts   []int
 	batchBuf []pagestore.PageID
-	reqBuf   []pagestore.PageID
+	served   []pagestore.PageID // demandRead's served set when pages were lost
+
+	// look refines each query one query ahead (lookahead.go).
+	look lookahead
 
 	// Failover routing for every storage read (DESIGN.md §13).
 	ha        *haState
@@ -122,6 +125,7 @@ func NewShardedEngine(store *pagestore.Store, index Index, cfg Config, shards in
 		demand:    make([]demandOut, shards),
 		prefetch:  make([]prefetchOut, shards),
 		counts:    make([]int, shards),
+		look:      lookahead{store: store},
 		ha:        ha,
 		prefHedge: make([]prefetchOut, shards),
 	}
@@ -205,12 +209,13 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		ratio = 1
 	}
 
-	var resultBuf []pagestore.ObjectID
-	var pageBuf []pagestore.PageID
+	look := &e.look
+	look.begin(e.index, seq.Queries)
+	defer look.end()
 	for qi, q := range seq.Queries {
 		tr := QueryTrace{Seq: qi}
 
-		pageBuf = e.index.QueryPages(q.Region, pageBuf[:0])
+		pageBuf := look.advance(qi)
 		tr.ResultPages = len(pageBuf)
 		e.parts = e.router.Split(pageBuf, e.parts)
 		home := e.router.Home(e.parts)
@@ -240,7 +245,13 @@ func (e *ShardedEngine) RunSequence(seq workload.Sequence, p prefetch.Prefetcher
 		tr.Residual = missMax + missCharge
 		tr.RoutedPages = remoteMiss
 
-		resultBuf = e.store.AppendMatches(q.Region, served, resultBuf[:0])
+		// The lookahead refined every candidate page; a demand read that
+		// lost pages (only unreplicated outage cells do) re-refines the
+		// served set here.
+		resultBuf := look.wait(qi)
+		if tr.LostPages > 0 {
+			resultBuf = look.refineServed(qi, served)
+		}
 		res.ResultHash = hashResult(res.ResultHash, qi, resultBuf)
 		p.Observe(prefetch.Observation{
 			Seq:    qi,
@@ -333,7 +344,9 @@ func hashResult(h uint64, qi int, result []pagestore.ObjectID) uint64 {
 // A home whose whole chain is down loses its misses: the pages are dropped
 // from the served result (the caller answers degraded after waiting out
 // the client read deadline), never silently zero-costed. It returns the
-// served page set.
+// served page set: pageBuf itself when nothing was lost, else a copy
+// without the lost pages (the lookahead helper may still be reading
+// pageBuf).
 func (e *ShardedEngine) demandRead(parts [][]pagestore.PageID, pageBuf []pagestore.PageID, tr *QueryTrace) []pagestore.PageID {
 	ha := e.ha
 	outs := e.demand
@@ -407,7 +420,7 @@ func (e *ShardedEngine) demandRead(parts [][]pagestore.PageID, pageBuf []pagesto
 	if !anyLost {
 		return pageBuf
 	}
-	// Rebuild the served set without the lost homes' miss pages, preserving
+	// Build the served set without the lost homes' miss pages, preserving
 	// pageBuf order (result hashing and the prefetcher observation depend
 	// on it).
 	lost := make(map[pagestore.PageID]struct{})
@@ -418,12 +431,13 @@ func (e *ShardedEngine) demandRead(parts [][]pagestore.PageID, pageBuf []pagesto
 			}
 		}
 	}
-	kept := pageBuf[:0]
+	kept := e.served[:0]
 	for _, pg := range pageBuf {
 		if _, dropped := lost[pg]; !dropped {
 			kept = append(kept, pg)
 		}
 	}
+	e.served = kept
 	return kept
 }
 
@@ -478,12 +492,7 @@ func (sh *engineShard) priceSweep(store *pagestore.Store, batch []pagestore.Page
 // sub-batch is the global batch and the arithmetic is bit-exact with the
 // unsharded flush.
 func (e *ShardedEngine) executePlanSharded(plan prefetch.Plan, budget time.Duration) (int, time.Duration) {
-	buf := e.batchBuf[:0]
-	buf = append(buf, plan.TraversalPages...)
-	for _, r := range plan.Requests {
-		e.reqBuf = e.index.QueryPages(r.Region, e.reqBuf[:0])
-		buf = append(buf, e.reqBuf...)
-	}
+	buf := appendPredictionSet(e.index, plan, e.batchBuf[:0])
 	e.batchBuf = buf
 
 	e.pparts = e.router.Split(buf, e.pparts)
