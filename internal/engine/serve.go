@@ -630,7 +630,7 @@ func (d *sharedDisk) scrubStep(max int) {
 		return
 	}
 	start := time.Now()
-	rep := d.backing.Scrub(max)
+	rep := d.backing.Scrub(max, d.backBuf)
 	d.stats.WallRead += time.Since(start)
 	if rep.Scanned == 0 {
 		return

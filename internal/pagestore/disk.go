@@ -364,7 +364,7 @@ func (d *Disk) ScrubStep(max int) time.Duration {
 		return 0
 	}
 	start := time.Now()
-	rep := d.backing.Scrub(max)
+	rep := d.backing.Scrub(max, d.backBuf)
 	d.stats.WallRead += time.Since(start)
 	if rep.Scanned == 0 {
 		return 0

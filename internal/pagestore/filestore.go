@@ -27,10 +27,10 @@
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
@@ -55,9 +55,6 @@ const (
 	shadowSuffix  = ".shadow"
 	replicaSuffix = ".replica"
 )
-
-// crcTable is the CRC64-ECMA table every checksum in the file format uses.
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // ChecksumMode selects how much integrity machinery a FileStore runs per
 // read.
@@ -254,9 +251,12 @@ type FileStore struct {
 	slotOf    []PageID     // logical → slot
 	logicalAt []PageID     // slot → logical
 	// badPages maps logical pages whose header-table entry failed
-	// validation at Open and could not be repaired: reads are corrupt until
-	// a scrub or replica heals them.
+	// validation at Open and could not be repaired, or whose frame a
+	// truncation cut off: reads are corrupt until a scrub or replica heals
+	// them. numBad mirrors len(badPages) so the
+	// read path can skip fs.mu while the ledger is empty (see badReason).
 	badPages map[PageID]string
+	numBad   atomic.Int64
 
 	// known is ApplyCorruption's ground-truth damage ledger (see
 	// FileStoreStats.SilentCorruptReads).
@@ -392,7 +392,7 @@ func encodeSuper(sb superblock) []byte {
 		name = name[:24]
 	}
 	copy(buf[36:60], name)
-	binary.LittleEndian.PutUint64(buf[superBytes-8:], crc64.Checksum(buf[:superBytes-8], crcTable))
+	binary.LittleEndian.PutUint64(buf[superBytes-8:], checksum(buf[:superBytes-8]))
 	return buf
 }
 
@@ -408,7 +408,7 @@ func decodeSuper(buf []byte) (superblock, error) {
 	if v := binary.LittleEndian.Uint32(buf[4:8]); v != fileVersion {
 		return sb, fmt.Errorf("pagestore: unsupported file version %d", v)
 	}
-	if got, want := binary.LittleEndian.Uint64(buf[superBytes-8:]), crc64.Checksum(buf[:superBytes-8], crcTable); got != want {
+	if got, want := binary.LittleEndian.Uint64(buf[superBytes-8:]), checksum(buf[:superBytes-8]); got != want {
 		return sb, errors.New("pagestore: superblock checksum mismatch")
 	}
 	sb.gen = binary.LittleEndian.Uint64(buf[8:16])
@@ -436,8 +436,9 @@ func encodeEntry(buf []byte, h pageHeader, gen uint64) {
 	binary.LittleEndian.PutUint64(buf[24:32], h.checksum)
 }
 
-// decodeEntry validates one header-table entry against the file generation.
-func decodeEntry(buf []byte, gen uint64, n int) (pageHeader, error) {
+// decodeEntry validates one header-table entry against the file generation
+// and geometry: a payload is whole objects, at most perPage of them.
+func decodeEntry(buf []byte, gen uint64, n, perPage int) (pageHeader, error) {
 	var h pageHeader
 	if binary.LittleEndian.Uint32(buf[0:4]) != pageMagic {
 		return h, errors.New("bad page magic")
@@ -448,7 +449,7 @@ func decodeEntry(buf []byte, gen uint64, n int) (pageHeader, error) {
 		return h, fmt.Errorf("generation %d != file generation %d", g, gen)
 	}
 	h.checksum = binary.LittleEndian.Uint64(buf[24:32])
-	if int(h.page) >= n || h.length > frameBytes {
+	if int(h.page) >= n || h.length > frameBytes || h.length%objBytes != 0 || int(h.length) > perPage*objBytes {
 		return h, fmt.Errorf("implausible entry (page=%d len=%d)", h.page, h.length)
 	}
 	return h, nil
@@ -466,7 +467,7 @@ func writeImage(w io.WriterAt, s *Store, logicalAt []PageID, gen uint64, layout 
 	for slot := 0; slot < n; slot++ {
 		logical := logicalAt[slot]
 		length := encodePage(s, logical, frame)
-		headers[slot] = pageHeader{page: logical, length: length, checksum: crc64.Checksum(frame, crcTable)}
+		headers[slot] = pageHeader{page: logical, length: length, checksum: checksum(frame)}
 		if _, err := w.WriteAt(frame, dataOff+int64(slot)*frameBytes); err != nil {
 			return nil, err
 		}
@@ -614,7 +615,7 @@ func imageValid(f *os.File) (superblock, bool) {
 		if _, err := f.ReadAt(entry, entryOff(PageID(slot))); err != nil {
 			return sb, false
 		}
-		h, err := decodeEntry(entry, sb.gen, sb.n)
+		h, err := decodeEntry(entry, sb.gen, sb.n, sb.perPage)
 		if err != nil || seen[h.page] {
 			return sb, false
 		}
@@ -622,7 +623,7 @@ func imageValid(f *os.File) (superblock, bool) {
 		if _, err := f.ReadAt(frame, sb.dataOff+int64(slot)*frameBytes); err != nil {
 			return sb, false
 		}
-		if crc64.Checksum(frame, crcTable) != h.checksum {
+		if !frameOK(frame, h) {
 			return sb, false
 		}
 	}
@@ -690,7 +691,7 @@ func OpenFileStore(path string, cfg FileStoreConfig) (*FileStore, error) {
 			fs.Close()
 			return nil, fmt.Errorf("pagestore: header table of %s: %w", path, err)
 		}
-		h, err := decodeEntry(entry, fs.gen, fs.n)
+		h, err := decodeEntry(entry, fs.gen, fs.n, fs.perPage)
 		if err != nil {
 			badSlots[PageID(slot)] = err.Error()
 			continue
@@ -702,6 +703,18 @@ func OpenFileStore(path string, cfg FileStoreConfig) (*FileStore, error) {
 		fs.headers[slot] = h
 		fs.slotOf[h.page] = PageID(slot)
 		fs.logicalAt[slot] = h.page
+	}
+	// Frames a truncation cut off are lost like a bad entry: reads go to
+	// recovery (and the replica) instead of failing with a short read.
+	st, err := primary.Stat()
+	if err != nil {
+		fs.Close()
+		return nil, fmt.Errorf("pagestore: stat %s: %w", path, err)
+	}
+	for slot := max(0, (st.Size()-fs.dataOff)/frameBytes); slot < int64(fs.n); slot++ {
+		if _, bad := badSlots[PageID(slot)]; !bad {
+			badSlots[PageID(slot)] = "frame past end of file"
+		}
 	}
 
 	if cfg.Replica {
@@ -722,6 +735,7 @@ func OpenFileStore(path string, cfg FileStoreConfig) (*FileStore, error) {
 			fs.badPages[l] = reason
 		}
 	}
+	fs.numBad.Store(int64(len(fs.badPages)))
 	return fs, nil
 }
 
@@ -746,14 +760,14 @@ func (fs *FileStore) reconcileReplica(badSlots map[PageID]string) error {
 				if _, err := rep.ReadAt(entry, entryOff(slot)); err != nil {
 					continue
 				}
-				h, err := decodeEntry(entry, fs.gen, fs.n)
+				h, err := decodeEntry(entry, fs.gen, fs.n, fs.perPage)
 				if err != nil || fs.slotOf[h.page] != InvalidPage {
 					continue
 				}
 				if _, err := rep.ReadAt(frame, fs.frameOff(slot)); err != nil {
 					continue
 				}
-				if crc64.Checksum(frame, crcTable) != h.checksum {
+				if !frameOK(frame, h) {
 					continue
 				}
 				// The replica's copy of this slot verifies: heal the primary's
@@ -802,10 +816,22 @@ func (fs *FileStore) ReadPage(p PageID, buf []byte) (payload []byte, repaired bo
 		}
 		return frame[:fs.headers[slot].length], false, nil
 	}
-	if crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum {
+	if frameOK(frame, fs.headers[slot]) {
 		return frame[:fs.headers[slot].length], false, nil
 	}
 	return fs.recoverPage(p, buf, "checksum mismatch")
+}
+
+// zeroFrame is the all-zero tail encodePage leaves past every payload.
+var zeroFrame [frameBytes]byte
+
+// frameOK reports whether frame (frameBytes long) matches header h: the
+// checksum verifies and every byte past the payload is zero, as encodePage
+// wrote it. The second test catches a header entry whose length field
+// shrank, which the frame's checksum alone cannot: header entries carry no
+// checksum of their own.
+func frameOK(frame []byte, h pageHeader) bool {
+	return checksum(frame) == h.checksum && bytes.Equal(frame[h.length:], zeroFrame[h.length:])
 }
 
 // growFrame returns a frame-sized slice over buf's capacity.
@@ -818,7 +844,17 @@ func growFrame(buf []byte) []byte {
 
 // badReason reports (under the repair mutex, so concurrent readers observe
 // repairs atomically) whether logical page p is in the bad-page ledger.
+//
+// The ledger only grows inside OpenFileStore, before the store is returned;
+// afterwards it only shrinks, under fs.mu in recoverPage, and Relayout (which
+// must not run concurrently with reads) empties it. So once numBad reads
+// zero the ledger stays empty and the lock can be skipped. recoverPage
+// stores numBad after publishing the healed header, so a reader that sees
+// zero also sees that header.
 func (fs *FileStore) badReason(p PageID) (string, bool) {
+	if fs.numBad.Load() == 0 {
+		return "", false
+	}
 	fs.mu.Lock()
 	reason, ok := fs.badPages[p]
 	fs.mu.Unlock()
@@ -846,7 +882,7 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 	frame := growFrame(buf)
 	// Another session may have repaired the page while we waited.
 	if _, err := fs.f.ReadAt(frame, fs.frameOff(slot)); err == nil {
-		if _, bad := fs.badPages[p]; !bad && crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum {
+		if _, bad := fs.badPages[p]; !bad && frameOK(frame, fs.headers[slot]) {
 			return frame[:fs.headers[slot].length], false, nil
 		}
 	}
@@ -863,13 +899,13 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 		if _, err := fs.rep.ReadAt(entry, entryOff(slot)); err != nil {
 			return corruptErr()
 		}
-		rh, err := decodeEntry(entry, fs.gen, fs.n)
+		rh, err := decodeEntry(entry, fs.gen, fs.n, fs.perPage)
 		if err != nil || rh.page != p {
 			return corruptErr()
 		}
 		h = rh
 	}
-	if crc64.Checksum(frame, crcTable) != h.checksum {
+	if !frameOK(frame, h) {
 		// Both copies rotted: unrecoverable, and reported as such — never
 		// as a timeout.
 		return corruptErr()
@@ -888,6 +924,7 @@ func (fs *FileStore) recoverPage(p PageID, buf []byte, reason string) ([]byte, b
 		fs.headers[slot] = h
 	}
 	delete(fs.badPages, p)
+	fs.numBad.Store(int64(len(fs.badPages)))
 	fs.corrupt.Add(1)
 	fs.repaired.Add(1)
 	return frame[:h.length], true, nil
@@ -927,7 +964,7 @@ func (fs *FileStore) VerifyAgainst(s *Store) error {
 			return err
 		}
 		h := fs.headers[slot]
-		if crc64.Checksum(frame, crcTable) != h.checksum {
+		if !frameOK(frame, h) {
 			return &CorruptPageError{Page: logical, Slot: slot, Path: fs.path, Reason: "checksum mismatch"}
 		}
 		want := s.PageObjects(logical)
@@ -1010,8 +1047,9 @@ type ScrubReport struct {
 // replica. The step bound is the rate limit: callers pace scrubbing out of
 // idle window time so it never competes with demand reads (see
 // engine.Config.ScrubPages). With checksums off there is nothing to verify
-// and Scrub reports zero work.
-func (fs *FileStore) Scrub(max int) ScrubReport {
+// and Scrub reports zero work. buf is the caller's page frame, reused as in
+// ReadPage.
+func (fs *FileStore) Scrub(max int, buf []byte) ScrubReport {
 	var rep ScrubReport
 	if fs.cfg.Mode == ChecksumOff || max <= 0 || fs.n == 0 {
 		return rep
@@ -1019,7 +1057,7 @@ func (fs *FileStore) Scrub(max int) ScrubReport {
 	if max > fs.n {
 		max = fs.n
 	}
-	frame := make([]byte, frameBytes)
+	frame := growFrame(buf)
 	for i := 0; i < max; i++ {
 		fs.mu.Lock()
 		slot := PageID(fs.scrubCursor)
@@ -1034,7 +1072,7 @@ func (fs *FileStore) Scrub(max int) ScrubReport {
 		ok := false
 		if logical != InvalidPage && !bad {
 			if _, err := fs.f.ReadAt(frame, fs.frameOff(slot)); err == nil {
-				ok = crc64.Checksum(frame, crcTable) == fs.headers[slot].checksum
+				ok = frameOK(frame, fs.headers[slot])
 			}
 		}
 		if ok {
@@ -1110,6 +1148,7 @@ func (fs *FileStore) Relayout(s *Store, l Layout, crash Crasher) error {
 	fs.logicalAt = logicalAt
 	fs.slotOf = invert(logicalAt)
 	fs.badPages = map[PageID]string{}
+	fs.numBad.Store(0)
 	fs.mu.Lock()
 	fs.scrubCursor = 0
 	fs.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -194,7 +195,7 @@ func TestSilentWithoutChecksums(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 silent read, 0 detected", st)
 	}
 	// Scrub has nothing to verify without checksums.
-	if rep := fs.Scrub(100); rep != (ScrubReport{}) {
+	if rep := fs.Scrub(100, nil); rep != (ScrubReport{}) {
 		t.Errorf("checksum-off scrub = %+v, want zero work", rep)
 	}
 }
@@ -334,6 +335,59 @@ func TestOpenRepairsLostHeaderEntries(t *testing.T) {
 	}
 }
 
+// TestRepairTruncatedFileUnderConcurrentReads: frames a truncation cut off
+// open as bad pages, and concurrent readers heal them from the replica while
+// other pages read without the repair lock; once the ledger drains every
+// read is clean and the file verifies.
+func TestRepairTruncatedFileUnderConcurrentReads(t *testing.T) {
+	s := paginatedStore(t, 400, 8)
+	fs := newFileStore(t, s, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
+	path := fs.Path()
+	fs.Close()
+	const lost = 3
+	if err := os.Truncate(path, fs.frameOff(PageID(fs.NumPages()-lost))); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenFileStore(path, FileStoreConfig{Mode: ChecksumRepair, Replica: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.numBad.Load(); got != lost {
+		t.Fatalf("open recorded %d bad pages, want %d", got, lost)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, frameBytes)
+			for i := 0; i < re.NumPages(); i++ {
+				p := PageID((i + w*7) % re.NumPages())
+				payload, _, err := re.ReadPage(p, buf)
+				if err != nil {
+					t.Errorf("worker %d page %d: %v", w, p, err)
+					return
+				}
+				if want := len(s.PageObjects(p)) * objBytes; len(payload) != want {
+					t.Errorf("worker %d page %d: %d bytes, want %d", w, p, len(payload), want)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := re.numBad.Load(); got != 0 {
+		t.Errorf("%d pages still bad after every page was read", got)
+	}
+	if st := re.Stats(); st.Repaired != lost {
+		t.Errorf("repaired %d pages, want %d", st.Repaired, lost)
+	}
+	if err := re.VerifyAgainst(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScrubRepairsEverything: scrubbing in bounded steps walks the whole
 // file (cursor wrapping), finds every rotten page and heals it before any
 // demand read meets it.
@@ -347,7 +401,7 @@ func TestScrubRepairsEverything(t *testing.T) {
 	const step = 7
 	var scanned, corrupt, repaired int64
 	for i := 0; i < (fs.NumPages()+step-1)/step; i++ {
-		rep := fs.Scrub(step)
+		rep := fs.Scrub(step, nil)
 		if rep.Scanned > step {
 			t.Fatalf("step %d scanned %d pages, rate limit is %d", i, rep.Scanned, step)
 		}
